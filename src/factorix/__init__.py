@@ -6,81 +6,5 @@ choice of a1 in A1, ..., ak in Ak.  This package verifies such
 factorizations, transforms them, counts the feasible size patterns, searches
 for new ones, and replays a catalog of known results.
 """
-from __future__ import annotations
 
 __version__ = "0.1.0"
-
-from .perm import Perm, compose, format_cycles, identity, inverse, parse_cycles
-from .group import FactorSet, GroupTable, generate_group
-from .structure import (
-    DoubleCosetDecomposition,
-    Subgroup,
-    double_cosets,
-    left_transversal,
-    quotient_group,
-    right_transversal,
-    subgroup_from_perms,
-    subgroup_generated,
-    sylow_subgroup,
-)
-from .patterns import (
-    PatternPlan,
-    class_representative,
-    enumerate_reversal_classes,
-    enumerate_words,
-    omega_reduction,
-    palindrome_count,
-    pattern_plan,
-    reversal_class_count,
-    word_count,
-)
-from .certify import (
-    Certificate,
-    Verdict,
-    certificate,
-    compose_sandwich,
-    dump_json,
-    from_dict,
-    lift_by_quotient,
-    lift_by_transversal,
-    load_json,
-    merge_adjacent,
-    normalize,
-    replace_factor,
-    reverse,
-    strip_singletons,
-    to_dict,
-    verify_certificate,
-)
-from .search import (
-    RefutationRecord,
-    SearchReport,
-    case1_search,
-    case2_search,
-    case2_search_reversed,
-    case3_search,
-    generic_search,
-    refute,
-)
-from .catalog import Catalog, load, open_catalog
-from .driver import MultifoldReport, multifold, repro, run_refutation, run_search
-
-__all__ = [
-    "__version__",
-    "Perm", "compose", "format_cycles", "identity", "inverse", "parse_cycles",
-    "FactorSet", "GroupTable", "generate_group",
-    "DoubleCosetDecomposition", "Subgroup", "double_cosets",
-    "left_transversal", "quotient_group", "right_transversal",
-    "subgroup_from_perms", "subgroup_generated", "sylow_subgroup",
-    "PatternPlan", "class_representative", "enumerate_reversal_classes",
-    "enumerate_words", "omega_reduction", "palindrome_count", "pattern_plan",
-    "reversal_class_count", "word_count",
-    "Certificate", "Verdict", "certificate", "compose_sandwich", "dump_json",
-    "from_dict", "lift_by_quotient", "lift_by_transversal", "load_json",
-    "merge_adjacent", "normalize", "replace_factor", "reverse",
-    "strip_singletons", "to_dict", "verify_certificate",
-    "RefutationRecord", "SearchReport", "case1_search", "case2_search",
-    "case2_search_reversed", "case3_search", "generic_search", "refute",
-    "Catalog", "load", "open_catalog",
-    "MultifoldReport", "multifold", "repro", "run_refutation", "run_search",
-]

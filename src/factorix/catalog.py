@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Any
 
 from .certify import Certificate, certificate, verify_certificate
-from .group import ElementNotInGroup, FactorSet, GroupTable, generate_group
+from .group import FactorSet, GroupTable, generate_group
 from .perm import parse_cycles
 from .structure import Subgroup, subgroup_from_perms
 

@@ -23,14 +23,11 @@ from dataclasses import dataclass
 
 from .catalog import Catalog, CatalogInvalid
 from .certify import (
-    Certificate, compose_sandwich, lift_by_transversal, replace_factor,
-    reverse, to_dict, verify_certificate,
+    Certificate, _embed, certificate, compose_sandwich, lift_by_transversal,
+    replace_factor, reverse, to_dict, verify_certificate,
 )
 from .group import FactorSet, GroupTable
-from .patterns import (
-    class_representative, pattern_plan, prime_index_discard, reversal_class_count,
-)
-from .perm import parse_cycles
+from .patterns import pattern_plan, prime_index_discard, reversal_class_count
 from .search import (
     case1_search, case2_search, case2_search_reversed, case3_search,
     generic_search, refute,
@@ -42,24 +39,12 @@ class RecipeInvalid(ValueError):
     pass
 
 
-def _reparse(group: GroupTable, cert: Certificate) -> list[FactorSet]:
-    """Express a certificate's factors inside ``group`` via cycle strings,
-    which lets a lower-degree certificate embed into a larger group."""
-    out = []
-    for f in cert.factors:
-        idx = tuple(sorted(
-            group.index_of(parse_cycles(str(p), group.degree)) for p in f.perms()
-        ))
-        out.append(FactorSet(group, idx))
-    return out
-
-
 def build_recipe(cat: Catalog, group: GroupTable, recipe: dict) -> Certificate:
     kind = recipe.get("type")
     if kind == "explicit":
         cert = cat.certificate(recipe["certificate"])
         if cert.group is not group:
-            cert = Certificate(group, tuple(_reparse(group, cert)))
+            cert = certificate(group, _embed(group, cert))
         return cert
     if kind == "lift":
         sub = cat.subgroup(recipe["subgroup"])
@@ -83,7 +68,8 @@ def build_recipe(cat: Catalog, group: GroupTable, recipe: dict) -> Certificate:
         base = build_recipe(cat, group, recipe["base"])
         position = int(recipe["position"])
         if "certificate" in recipe:
-            parts = _reparse(group, cat.certificate(recipe["certificate"]))
+            embedded = _embed(group, cat.certificate(recipe["certificate"]))
+            parts = [FactorSet(group, f) for f in embedded]
         else:
             parts = [cat.factor_set(group, texts) for texts in recipe["parts"]]
         return replace_factor(base, position, parts)
@@ -223,7 +209,7 @@ def run_search(
     if engine == "case1":
         rep = case1_search(
             cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"]),
-            tuple(spec["middle"]), find_all=True, budget_s=budget, threads=threads,
+            tuple(spec["middle"]), find_all=True, budget_s=budget,
         )
     elif engine == "case2":
         rep = case2_search(

@@ -7,7 +7,7 @@ every derived fact is a table lookup away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .perm import Perm, compose, identity, inverse
 
@@ -94,7 +94,6 @@ class GroupTable:
         else:
             self.mul = None
         self.element_orders: list[int] = self._order_table()
-        self._subgroup_cache: dict = {}
 
     def _make_row(self, a: int) -> list[int]:
         pa = self.elements[a]
@@ -191,7 +190,3 @@ def generate_group(generators: list[Perm], degree: int | None = None) -> GroupTa
                     nxt.append(q)
         frontier = nxt
     return GroupTable(list(seen.values()), generators)
-
-
-def element_order(table: GroupTable, idx: int) -> int:
-    return table.element_orders[idx]

@@ -69,15 +69,6 @@ def inverse(p: Perm) -> Perm:
     return Perm(tuple(inv))
 
 
-def perm_order(p: Perm) -> int:
-    order = 1
-    q = p
-    while not q.is_identity():
-        q = compose(q, p)
-        order += 1
-    return order
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 

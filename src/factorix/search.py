@@ -36,6 +36,7 @@ from .indset import independent_sets_of_size
 from .structure import (
     Subgroup,
     coset_index_map,
+    left_coset_index_map,
     left_transversal,
     right_transversal,
     subgroup_from_indices,
@@ -102,6 +103,28 @@ def _sorted_certs(group: GroupTable, raw: list[tuple[tuple[int, ...], ...]]) -> 
     return tuple(certs)
 
 
+def _reversed_certs(group: GroupTable, certs) -> tuple[Certificate, ...]:
+    """Reverse the answers of a reversed task, re-verified and sorted."""
+    return _sorted_certs(group, [tuple(f.indices for f in reverse(c).factors) for c in certs])
+
+
+def _right_cosets(
+    a: Subgroup, anchor: FactorSet | Subgroup | None = None,
+) -> tuple[list[int], list[int], list[int]]:
+    """The right A-coset setup every anchored engine shares: the least
+    representative of each coset, each element's coset position, and the
+    punctured transversal, i.e. the representatives whose cosets hold no
+    element of ``anchor`` (all of them without an anchor)."""
+    reps = right_transversal(a)
+    coset_of = coset_index_map(a, reps)
+    if anchor is None:
+        return reps, coset_of, reps
+    blocked = {coset_of[x] for x in anchor.indices}
+    if len(blocked) != len(anchor):
+        raise AnchorInvalid("right A-cosets of the anchor elements are not distinct")
+    return reps, coset_of, [w for w in reps if coset_of[w] not in blocked]
+
+
 # ---------------------------------------------------------------- case 1
 
 
@@ -111,7 +134,6 @@ def case1_search(
     middle_sizes: tuple[int, ...],
     find_all: bool = True,
     budget_s: float | None = None,
-    threads: int = 1,
 ) -> SearchReport:
     """Enumerate G = A*B*C*D with subgroups A, D anchored and the middle
     factors drawn from punctured transversals of A (right) and D (left)."""
@@ -126,19 +148,10 @@ def case1_search(
         raise AnchorInvalid("pattern does not multiply to the group order")
     deadline = _Deadline(budget_s)
 
-    w_reps = right_transversal(a)
-    coset_of = coset_index_map(a, w_reps)
-    blocked = {coset_of[x] for x in d.indices}
-    if len(blocked) != len(d):
-        raise AnchorInvalid("right A-cosets of D elements are not distinct")
-    w_free = [w for w in w_reps if coset_of[w] not in blocked]
+    w_reps, _, w_free = _right_cosets(a, d)
 
     v_reps = left_transversal(d)
-    lcoset_of = [-1] * g.order
-    for posn, r in enumerate(v_reps):
-        row = g.row(r)
-        for x in d.indices:
-            lcoset_of[row[x]] = posn
+    lcoset_of = left_coset_index_map(d, v_reps)
     vblocked = {lcoset_of[x] for x in a.indices}
     if len(vblocked) != len(a):
         raise AnchorInvalid("left D-cosets of A elements are not distinct")
@@ -228,12 +241,7 @@ def _case2_context(a: Subgroup, last: FactorSet, middle_sizes, find_all):
         raise AnchorInvalid("case2 expects one or two middle factors")
     if len(a) * prod(sizes) * len(last) != g.order:
         raise AnchorInvalid("pattern does not multiply to the group order")
-    w_reps = right_transversal(a)
-    coset_of = coset_index_map(a, w_reps)
-    blocked = {coset_of[x] for x in last.indices}
-    if len(blocked) != len(last):
-        raise AnchorInvalid("right A-cosets of the anchor elements are not distinct")
-    w_free = [w for w in w_reps if coset_of[w] not in blocked]
+    w_reps, coset_of, w_free = _right_cosets(a, last)
     n_cosets = len(w_reps)
     # cosets swept by w*D for each candidate w (first entry is w's own coset)
     wd_cosets = {}
@@ -430,14 +438,7 @@ def case2_search_reversed(
         budget_s=budget_s,
         threads=threads,
     )
-    solutions = tuple(
-        sorted(
-            (reverse(c) for c in report.solutions),
-            key=lambda c: tuple(f.indices for f in c.factors),
-        )
-    )
-    for cert in solutions:
-        assert cert.verify().valid
+    solutions = _reversed_certs(d.group, report.solutions)
     return SearchReport(
         engine="case2",
         pattern=(len(first),) + tuple(middle_sizes) + (len(d),),
@@ -464,7 +465,6 @@ class CompatibilityGraph:
     group: GroupTable
     vertices: tuple[int, ...]
     masks: tuple[int, ...]
-    block_size: int
 
     def adjacency(self) -> list[int]:
         k = len(self.vertices)
@@ -478,17 +478,14 @@ class CompatibilityGraph:
         return adj
 
 
-def case3_build_graph(a: Subgroup, b: FactorSet, d: FactorSet) -> CompatibilityGraph:
+def case3_build_graph(a: Subgroup, b: FactorSet, d: FactorSet, coset_of: list[int]) -> CompatibilityGraph:
+    """``coset_of`` maps each element to its right A-coset position."""
     g = a.group
-    w_reps = right_transversal(a)
-    coset_of = coset_index_map(a, w_reps)
     bd_pairs = [(x, y) for x in b.indices for y in d.indices]
-    m = len(a) * len(b) * len(d)
     need = len(b) * len(d)
     vertices = []
     masks = []
     for x in range(g.order):
-        row_x = g.row(x)
         mask = 0
         ok = True
         for bb, dd in bd_pairs:
@@ -501,7 +498,7 @@ def case3_build_graph(a: Subgroup, b: FactorSet, d: FactorSet) -> CompatibilityG
         if ok and mask.bit_count() == need:
             vertices.append(x)
             masks.append(mask)
-    return CompatibilityGraph(g, tuple(vertices), tuple(masks), m)
+    return CompatibilityGraph(g, tuple(vertices), tuple(masks))
 
 
 def case3_search(
@@ -511,7 +508,6 @@ def case3_search(
     c_size: int,
     find_all: bool = False,
     budget_s: float | None = None,
-    threads: int = 1,
     max_solutions: int | None = None,
 ) -> SearchReport:
     """Enumerate B over a punctured transversal; for each B satisfying the
@@ -527,12 +523,7 @@ def case3_search(
     if s != c_size:
         raise AnchorInvalid("independent-set size inconsistent with pattern")
     deadline = _Deadline(budget_s)
-    w_reps = right_transversal(a)
-    coset_of = coset_index_map(a, w_reps)
-    blocked = {coset_of[x] for x in d.indices}
-    if len(blocked) != len(d):
-        raise AnchorInvalid("right A-cosets of the anchor elements are not distinct")
-    w_free = [w for w in w_reps if coset_of[w] not in blocked]
+    _, coset_of, w_free = _right_cosets(a, d)
     space = comb(len(w_free), b_size - 1)
 
     examined = 0
@@ -550,7 +541,7 @@ def case3_search(
         if abd is None:
             continue
         builds += 1
-        graph = case3_build_graph(a, b_set, d)
+        graph = case3_build_graph(a, b_set, d, coset_of)
         adj = graph.adjacency()
         limit = None if find_all else 1
         if max_solutions is not None:
@@ -703,13 +694,6 @@ def _involutions(group: GroupTable) -> list[int]:
     return [x for x in range(group.order) if group.element_orders[x] == 2]
 
 
-def _coset_translation(group: GroupTable, a: Subgroup, d: int) -> list[int]:
-    """pi_d on right A-coset positions: position of A*r -> position of A*r*d."""
-    reps = right_transversal(a)
-    coset_of = coset_index_map(a, reps)
-    return [coset_of[group.row(r)[d]] for r in reps]
-
-
 def _scan_parity(group: GroupTable, a_rep: int, m: int, deadline: _Deadline) -> tuple[str, int, Certificate | None]:
     """Pattern (2, m, 2): a factorization exists for last factor {e, d} iff
     every cycle of pi_d on the right-A cosets is even; build one by
@@ -718,12 +702,14 @@ def _scan_parity(group: GroupTable, a_rep: int, m: int, deadline: _Deadline) -> 
     n_pos = group.order // 2
     if 2 * m != n_pos:
         raise AnchorInvalid("middle size incompatible with (2, m, 2)")
+    reps, coset_of, _ = _right_cosets(a)
     examined = 0
     for d in _involutions(group):
         if deadline.expired():
             return "UNKNOWN", examined, None
         examined += 1
-        pi = _coset_translation(group, a, d)
+        # pi_d on coset positions: position of A*r -> position of A*r*d
+        pi = [coset_of[group.row(r)[d]] for r in reps]
         seen = [False] * n_pos
         chosen: list[int] = []
         feasible = True
@@ -744,7 +730,6 @@ def _scan_parity(group: GroupTable, a_rep: int, m: int, deadline: _Deadline) -> 
             chosen.extend(cyc[i] for i in range(offset, len(cyc), 2))
         if not feasible:
             continue
-        reps = right_transversal(a)
         b_set = tuple(sorted(reps[j] for j in chosen))
         cert = certificate(group, (a.indices, b_set, (0, d)))
         if cert.verify().valid:
@@ -764,7 +749,7 @@ def _scan_block_cover(
     coset representatives containing e, a factorization exists iff the
     block-compatibility graph has an independent set of size c."""
     a = subgroup_from_indices(group, (0, a_rep))
-    reps = right_transversal(a)
+    reps, coset_of, _ = _right_cosets(a)
     examined = 0
     for d in _involutions(group):
         d_set = FactorSet(group, (0, d))
@@ -775,7 +760,7 @@ def _scan_block_cover(
             b_set = FactorSet(group, tuple(sorted((0,) + extra)))
             if product_distinct(a.members, b_set) is None:
                 continue
-            graph = case3_build_graph(a, b_set, d_set)
+            graph = case3_build_graph(a, b_set, d_set, coset_of)
             if len(graph.vertices) < c_size:
                 continue
             adj = graph.adjacency()
@@ -836,8 +821,7 @@ def refute(
                     # scan the reversed pattern instead: smaller middle first
                     verdict, examined, cert = _scan_block_cover(group, a_rep, c_size, b_size, deadline)
                     if cert is not None:
-                        cert = reverse(cert)
-                        assert cert.verify().valid
+                        cert = _reversed_certs(group, [cert])[0]
                     strategy = "block-cover (reversed)"
                 else:
                     verdict, examined, cert = _scan_block_cover(group, a_rep, b_size, c_size, deadline)

@@ -1,12 +1,12 @@
-"""Subgroups and coset structure: transversals, double cosets, quotients,
-normality, and bounded subgroup discovery.
+"""Subgroups and coset structure: transversals, coset maps, double cosets,
+quotients and normality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .group import FactorSet, GroupTable, bits_of, generate_group, iter_bits
+from .group import FactorSet, GroupTable, bits_of, generate_group
 from .perm import Perm
 
 
@@ -38,9 +38,6 @@ class Subgroup:
 
     def __contains__(self, idx: int) -> bool:
         return bool(self.bits >> idx & 1)
-
-    def index_in_group(self) -> int:
-        return self.group.order // len(self.indices)
 
     def generators(self) -> list[Perm]:
         """A small generating set, grown greedily over the member list."""
@@ -116,11 +113,6 @@ def left_transversal(h: Subgroup) -> list[int]:
     return reps
 
 
-def right_coset_bits(h: Subgroup, x: int) -> int:
-    g = h.group
-    return bits_of(g.row(a)[x] for a in h.indices)
-
-
 def coset_index_map(h: Subgroup, reps: list[int]) -> list[int]:
     """Map element index -> position of its right-H-coset in ``reps``."""
     g = h.group
@@ -128,6 +120,17 @@ def coset_index_map(h: Subgroup, reps: list[int]) -> list[int]:
     for pos, r in enumerate(reps):
         for a in h.indices:
             where[g.row(a)[r]] = pos
+    return where
+
+
+def left_coset_index_map(h: Subgroup, reps: list[int]) -> list[int]:
+    """Map element index -> position of its left-H-coset in ``reps``."""
+    g = h.group
+    where = [-1] * g.order
+    for pos, r in enumerate(reps):
+        row = g.row(r)
+        for a in h.indices:
+            where[row[a]] = pos
     return where
 
 
@@ -204,11 +207,7 @@ def quotient_group(h: Subgroup) -> tuple[GroupTable, list[int]]:
     g = h.group
     reps = left_transversal(h)
     m = len(reps)
-    where = [-1] * g.order
-    for pos, r in enumerate(reps):
-        row = g.row(r)
-        for a in h.indices:
-            where[row[a]] = pos
+    where = left_coset_index_map(h, reps)
     # each coset acts on coset positions by right multiplication
     perms = []
     for r in reps:
@@ -221,83 +220,3 @@ def quotient_group(h: Subgroup) -> tuple[GroupTable, list[int]]:
     reindex = [qtable.index_of(p) for p in perms]
     projection = [reindex[where[i]] for i in range(g.order)]
     return qtable, projection
-
-
-def find_subgroup_of_order(group: GroupTable, m: int, max_generators: int = 2) -> Subgroup | None:
-    """Bounded search for a subgroup of order m: all cyclic subgroups first,
-    then closures of generator pairs.  Returns the one with the canonically
-    least member tuple, or None if the bounded search exhausts."""
-    if group.order % m:
-        return None
-    cache = group._subgroup_cache.setdefault("by_order", {})
-    if m in cache:
-        return cache[m]
-    found: tuple[int, ...] | None = None
-    if m == 1:
-        found = (0,)
-    cyclic: dict[int, list[int]] = {}
-    if found is None:
-        for x in range(1, group.order):
-            if m % group.element_orders[x]:
-                continue
-            closed = group.closure_indices([x], cap=m)
-            if closed is None:
-                continue
-            cyclic[x] = closed
-            if len(closed) == m:
-                t = tuple(closed)
-                if found is None or t < found:
-                    found = t
-    if found is None and max_generators >= 2:
-        candidates = sorted(cyclic)
-        for i, x in enumerate(candidates):
-            x_members = set(cyclic[x])
-            for y in candidates[i + 1:]:
-                if y in x_members:
-                    continue
-                closed = group.closure_indices([x, y], cap=m)
-                if closed is not None and len(closed) == m:
-                    t = tuple(closed)
-                    if found is None or t < found:
-                        found = t
-    result = Subgroup(group, found) if found is not None else None
-    cache[m] = result
-    return result
-
-
-def sylow_subgroup(group: GroupTable, p: int) -> Subgroup:
-    """A Sylow p-subgroup, grown from a p-element through its normalizer."""
-    n = group.order
-    pk = 1
-    while n % (pk * p) == 0:
-        pk *= p
-    if pk == 1:
-        raise ValueError(f"{p} does not divide the group order")
-    seed = next(x for x in range(1, n) if group.element_orders[x] == p)
-    members = group.closure_indices([seed])
-    while len(members) < pk:
-        mbits = bits_of(members)
-        grown = False
-        for y in _normalizer_elements(group, members, mbits):
-            if mbits >> y & 1 or not _is_p_power(group.element_orders[y], p):
-                continue
-            closed = group.closure_indices(members + [y], cap=pk)
-            if closed is not None and _is_p_power(len(closed), p):
-                members = closed
-                grown = True
-                break
-        if not grown:
-            raise RuntimeError("sylow growth stalled")
-    return Subgroup(group, tuple(members))
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _normalizer_elements(group: GroupTable, members: list[int], mbits: int):
-    for x in range(group.order):
-        if all(mbits >> group.conjugate_idx(h, x) & 1 for h in members):
-            yield x

@@ -173,6 +173,16 @@ def test_run_refutation_entry(cat):
     assert res["instances"] > 0
 
 
+def test_refutation_instance_counts_pinned(cat):
+    assert run_refutation(cat, "refute-a4-232")["instances"] == 285
+    assert run_refutation(cat, "refute-a5-2-15-2")["instances"] == 15
+
+
+def test_case3_graph_builds_pinned(cat):
+    assert run_search(cat, "case3-lemma-3.6")["checks"]["builds"]["got"] == 1
+    assert run_search(cat, "case3-lemma-4.6")["checks"]["builds"]["got"] == 2
+
+
 def test_run_refutation_budget_override(cat):
     res = run_refutation(cat, "refute-a5-2-15-2", budget_s=0.0)
     assert res["verdict"] == "UNKNOWN"

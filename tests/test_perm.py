@@ -4,7 +4,7 @@ import pytest
 
 from factorix.perm import (
     CycleFormatError, DegreeError, Perm, compose, format_cycles, identity,
-    inverse, parse_cycles, perm_order,
+    inverse, parse_cycles,
 )
 
 
@@ -49,12 +49,6 @@ def test_inverse():
     p = parse_cycles("(1,2,3,4)", 4)
     assert str(inverse(p)) == "(1,4,3,2)"
     assert compose(p, inverse(p)).is_identity()
-
-
-def test_perm_order():
-    assert perm_order(identity(3)) == 1
-    assert perm_order(parse_cycles("(1,2)(3,4,5)", 5)) == 6
-    assert perm_order(parse_cycles("(1,2,3,4,5,6,7)", 7)) == 7
 
 
 def test_format_starts_cycles_at_smallest_point():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -187,6 +190,52 @@ def test_case2_anchor_validation(s4):
         case2_search(a, fs(s4, "()", "(1,2)"), (6,))
     with pytest.raises(AnchorInvalid):
         case2_search(a, fs(s4, "()", "(3,4)"), (2, 3))
+
+
+# Under ``python -O`` an ``assert`` disappears; the reversed paths must still
+# re-verify what they report.  ``reverse`` is replaced by one that corrupts.
+CORRUPT_REVERSE = """
+from factorix import search
+from factorix.certify import Certificate
+from factorix.group import FactorSet, generate_group
+from factorix.perm import parse_cycles
+from factorix.structure import subgroup_from_indices
+
+
+def group(degree, *texts):
+    return generate_group([parse_cycles(t, degree) for t in texts], degree=degree)
+
+
+def corrupt(cert):
+    return Certificate(cert.group, (cert.factors[0],) * len(cert.factors))
+
+
+search.reverse = corrupt
+"""
+
+REVERSED_PATHS = {
+    "case2_search_reversed": """
+s4 = group(4, "(1,2)", "(1,2,3,4)")
+first = FactorSet(s4, (0, s4.index_of(parse_cycles("(1,4)(2,3)", 4))))
+d = s4.closure_indices([s4.index_of(parse_cycles("(1,2,3)", 4))])
+search.case2_search_reversed(first, subgroup_from_indices(s4, d), (2, 2))
+""",
+    "refute": """
+e32 = group(10, "(1,2)", "(3,4)", "(5,6)", "(7,8)", "(9,10)")
+search.refute(e32, (2, 4, 2, 2))
+""",
+}
+
+
+@pytest.mark.parametrize("path", sorted(REVERSED_PATHS))
+def test_reversed_certificates_checked_under_optimize(path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # this test's factorix
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_REVERSE + REVERSED_PATHS[path]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: engine produced an invalid certificate" in proc.stderr
 
 
 # ---------------------------------------------------------------- case 3

@@ -6,9 +6,9 @@ from factorix.group import bits_of
 from factorix.perm import parse_cycles
 from factorix.structure import (
     NotASubgroup, NotNormal, coset_index_map, conjugate_intersection_trivial,
-    double_cosets, find_subgroup_of_order, is_normal, left_transversal,
-    quotient_group, right_coset_bits, right_transversal, subgroup_from_indices,
-    subgroup_from_perms, subgroup_generated, sylow_subgroup,
+    double_cosets, is_normal, left_coset_index_map, left_transversal,
+    quotient_group, right_transversal, subgroup_from_indices,
+    subgroup_from_perms, subgroup_generated,
 )
 
 
@@ -21,7 +21,6 @@ def test_subgroup_from_indices(s3):
     again = subgroup_from_indices(s3, a3.indices)
     assert again.indices == a3.indices
     assert len(a3) == 3
-    assert a3.index_in_group() == 2
 
 
 def test_subgroup_from_indices_rejects_junk(s3):
@@ -34,7 +33,8 @@ def test_subgroup_from_indices_rejects_junk(s3):
 
 
 def test_subgroup_generators_regenerate(s4):
-    d8 = sylow_subgroup(s4, 2)
+    d8 = sub(s4, "(1,2,3,4)", "(1,3)")
+    assert len(d8) == 8
     gens = d8.generators()
     assert len(subgroup_from_perms(s4, gens)) == len(d8)
 
@@ -51,24 +51,25 @@ def test_right_transversal_covers(a4):
     reps = right_transversal(v4)
     assert len(reps) == 3
     assert reps[0] == 0
-    covered = 0
-    for r in reps:
-        block = right_coset_bits(v4, r)
-        assert covered & block == 0
-        assert min(b for b in range(a4.order) if block >> b & 1) == r
-        covered |= block
-    assert covered == (1 << a4.order) - 1
+    where = coset_index_map(v4, reps)
+    for pos, r in enumerate(reps):
+        block = [x for x in range(a4.order) if where[x] == pos]
+        assert block == sorted(a4.row(a)[r] for a in v4.indices)
+        assert block[0] == r  # the least element represents its coset
+    assert sorted(where) == sorted(list(range(len(reps))) * len(v4))  # a partition
 
 
 def test_left_transversal_covers(a4):
     c3 = sub(a4, "(1,2,3)")
     reps = left_transversal(c3)
     assert len(reps) == 4
+    where = left_coset_index_map(c3, reps)
     covered = 0
-    for r in reps:
+    for pos, r in enumerate(reps):
         row = a4.row(r)
         block = bits_of(row[x] for x in c3.indices)
         assert covered & block == 0
+        assert all(where[row[x]] == pos for x in c3.indices)
         covered |= block
     assert covered == (1 << a4.order) - 1
 
@@ -131,23 +132,6 @@ def test_quotient_a4_mod_v4(a4):
 def test_quotient_requires_normal(s3):
     with pytest.raises(NotNormal):
         quotient_group(sub(s3, "(1,2)"))
-
-
-def test_find_subgroup_of_order(s4, a4):
-    assert find_subgroup_of_order(s4, 1).indices == (0,)
-    assert len(find_subgroup_of_order(s4, 8)) == 8
-    assert len(find_subgroup_of_order(s4, 12)) == 12
-    assert find_subgroup_of_order(s4, 5) is None  # not a divisor
-    assert find_subgroup_of_order(a4, 6) is None  # divisor, but no such subgroup
-
-
-def test_sylow_subgroups(a5, s4):
-    assert len(sylow_subgroup(a5, 2)) == 4
-    assert len(sylow_subgroup(a5, 3)) == 3
-    assert len(sylow_subgroup(a5, 5)) == 5
-    assert len(sylow_subgroup(s4, 2)) == 8
-    with pytest.raises(ValueError):
-        sylow_subgroup(a5, 7)
 
 
 def test_subgroup_generated_caches_nothing_weird(a5):
