@@ -1,58 +1,59 @@
-"""Exact independent-set search on small graphs via branch and bound.
+"""Exact covers by bitmask blocks: Knuth's Algorithm X (Dancing Links,
+arXiv:cs/0011047) on bitsets, the solver under case3 and the block-cover scan.
 
-Vertices are 0..n-1 with adjacency bitmasks.  The search relabels vertices
-by descending degree (ties by index) so dense rows are decided early, then
-branches on the lowest candidate with a popcount bound.  Output is
-deterministic; find-all results are sorted in original vertex order.
+There each vertex x of the compatibility graph is a block A*B*x*D of |B||D|
+right A-cosets, a mask over the |G|/|A| coset positions, and the engines
+want independent sets (pairwise disjoint blocks) of size s, where
+s*|B||D| = |G|/|A|.  s disjoint blocks of |B||D| cosets cover all |G|/|A|
+cosets exactly once, and an exact cover by s blocks is s disjoint blocks, so
+these independent sets are exactly the exact covers by s blocks.
 """
 
 from __future__ import annotations
 
+from .group import iter_bits
 
-def independent_sets_of_size(
-    adj: list[int],
-    n: int,
+
+def exact_covers(
+    masks: list[int] | tuple[int, ...],
+    n_positions: int,
     size: int,
-    find_all: bool = False,
     limit: int | None = None,
 ) -> list[tuple[int, ...]]:
-    if size == 0:
-        return [()]
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda v: (-(adj[v].bit_count()), v))
-    pos = [0] * n
-    for p, v in enumerate(order):
-        pos[v] = p
-    radj = [0] * n
-    for v in range(n):
-        m = adj[v]
-        acc = 0
+    """The sets of ``size`` blocks (masks: non-empty sets of positions) that
+    partition the positions 0..n_positions-1, as a sorted list of sorted
+    index tuples; all of them for ``limit=None``, else the first ``limit``.
+    Branches on the uncovered position with the fewest fitting blocks (ties:
+    the lowest position), trying them in index order."""
+    full = (1 << n_positions) - 1
+    holders = [0] * n_positions  # per position: the blocks containing it
+    for i, m in enumerate(masks):
         while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc |= 1 << pos[w]
-        radj[pos[v]] = acc
-
+            low = m & -m
+            holders[low.bit_length() - 1] |= 1 << i
+            m ^= low
     out: list[tuple[int, ...]] = []
-    cap = None if (find_all and limit is None) else (limit or 1)
 
-    def dfs(chosen: tuple[int, ...], cand: int) -> bool:
+    def search(covered: int, live: int, chosen: tuple[int, ...]) -> bool:
         if len(chosen) == size:
-            out.append(chosen)
-            return cap is not None and len(out) >= cap
-        need = size - len(chosen)
-        if cand.bit_count() < need:
-            return False
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if dfs(chosen + (v,), cand & ~radj[v]):
+            if covered == full:
+                out.append(tuple(sorted(chosen)))
+            return limit is not None and len(out) >= limit
+        fewest, cands = None, 0
+        for p in iter_bits(full ^ covered):
+            fit = holders[p] & live
+            if fewest is None or fit.bit_count() < fewest:
+                fewest, cands = fit.bit_count(), fit
+                if fewest <= 1:  # a later dead position would fail this branch too
+                    break
+        for i in iter_bits(cands):
+            clash = 0  # the blocks sharing a position with block i
+            for p in iter_bits(masks[i]):
+                clash |= holders[p]
+            if search(covered | masks[i], live & ~clash, chosen + (i,)):
                 return True
-            if cand.bit_count() < need:
-                return False
         return False
 
-    dfs((), (1 << n) - 1)
-    results = sorted(tuple(sorted(order[p] for p in t)) for t in out)
-    return results
+    if limit != 0:
+        search(0, (1 << len(masks)) - 1, ())
+    return sorted(out)

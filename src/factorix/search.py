@@ -7,12 +7,15 @@ Three anchored engines cover the productive configurations:
 * case2: one end is a subgroup, the other a fixed small set; middle
   factors are enumerated with coset-mask prefix pruning.
 * case3: subgroup end, fixed set end, one enumerated middle factor; the
-  remaining factor is an independent set in a compatibility graph.
+  remaining factor is an exact cover of the right A-cosets by compatible
+  blocks A*B*x*D, found by the kernel in ``factorix.indset``.
 
 A generic normalized backtracker handles any pattern on small groups, and
-``refute`` adds algebraic reductions for 2-...-2 patterns.  Every emitted
-certificate passes the verifier before it is reported; engines never trust
-their own constructions.
+``refute`` adds algebraic reductions for 2-...-2 patterns; the 2-b-c-2
+block-cover scan runs the same exact-cover kernel, and its completed
+results are reused across a reversal class.  Every emitted certificate
+passes the verifier before it is reported; engines never trust their own
+constructions.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 import multiprocessing
+import weakref
 
 from .certify import (
     Certificate,
@@ -32,7 +36,7 @@ from .certify import (
     reverse,
 )
 from .group import FactorSet, GroupTable, bits_of, iter_bits
-from .indset import independent_sets_of_size
+from .indset import exact_covers
 from .structure import (
     Subgroup,
     coset_index_map,
@@ -458,47 +462,36 @@ def case2_search_reversed(
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """Vertices are elements x with |A*B*x*D| = |A||B||D|; two vertices are
-    adjacent when their A*B*x*D blocks overlap (blocks are unions of right
-    A-cosets, so masks over coset positions decide everything)."""
+    """Vertices are elements x with |A*B*x*D| = |A||B||D|, each with the
+    mask of the right A-cosets its block covers; vertices whose masks meet
+    are adjacent (``factorix.indset`` solves it as an exact cover)."""
 
-    group: GroupTable
     vertices: tuple[int, ...]
     masks: tuple[int, ...]
 
-    def adjacency(self) -> list[int]:
-        k = len(self.vertices)
-        adj = [0] * k
-        for i in range(k):
-            mi = self.masks[i]
-            for j in range(i + 1, k):
-                if mi & self.masks[j]:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return adj
+
+def _coset_masks(g: GroupTable, d: FactorSet, coset_of: list[int]) -> list[int]:
+    """For every element y, the mask of the right A-cosets met by y*D;
+    ``coset_of`` maps each element to its coset position."""
+    return [bits_of(coset_of[row[dd]] for dd in d.indices) for row in map(g.row, range(g.order))]
 
 
-def case3_build_graph(a: Subgroup, b: FactorSet, d: FactorSet, coset_of: list[int]) -> CompatibilityGraph:
-    """``coset_of`` maps each element to its right A-coset position."""
-    g = a.group
-    bd_pairs = [(x, y) for x in b.indices for y in d.indices]
+def case3_build_graph(b: FactorSet, d: FactorSet, yd_masks: list[int]) -> CompatibilityGraph:
+    """``yd_masks[y]`` holds the cosets met by y*D (``_coset_masks``); x is a
+    vertex iff the masks of b*x, b in B, are disjoint with |D| cosets each."""
+    g = b.group
+    b_rows = [g.row(bb) for bb in b.indices]
     need = len(b) * len(d)
     vertices = []
     masks = []
     for x in range(g.order):
         mask = 0
-        ok = True
-        for bb, dd in bd_pairs:
-            j = coset_of[g.row(g.row(bb)[x])[dd]]
-            bit = 1 << j
-            if mask & bit:
-                ok = False
-                break
-            mask |= bit
-        if ok and mask.bit_count() == need:
+        for row in b_rows:
+            mask |= yd_masks[row[x]]
+        if mask.bit_count() == need:
             vertices.append(x)
             masks.append(mask)
-    return CompatibilityGraph(g, tuple(vertices), tuple(masks))
+    return CompatibilityGraph(tuple(vertices), tuple(masks))
 
 
 def case3_search(
@@ -511,8 +504,8 @@ def case3_search(
     max_solutions: int | None = None,
 ) -> SearchReport:
     """Enumerate B over a punctured transversal; for each B satisfying the
-    block-size condition, hunt an independent set C of compatible elements
-    with |A||B||C||D| = |G|."""
+    block-size condition, hunt a C of compatible elements whose blocks
+    A*B*x*D exactly cover the right A-cosets, so |A||B||C||D| = |G|."""
     g = a.group
     if d.group is not g or not d.contains_identity():
         raise AnchorInvalid("last-factor anchor must contain the identity")
@@ -521,38 +514,35 @@ def case3_search(
         raise AnchorInvalid("block size does not divide the group order")
     s = g.order // m
     if s != c_size:
-        raise AnchorInvalid("independent-set size inconsistent with pattern")
+        raise AnchorInvalid("cover size inconsistent with pattern")
     deadline = _Deadline(budget_s)
-    _, coset_of, w_free = _right_cosets(a, d)
+    reps, coset_of, w_free = _right_cosets(a, d)
+    yd_masks = _coset_masks(g, d, coset_of)
+    a_members = a.members
     space = comb(len(w_free), b_size - 1)
 
     examined = 0
     builds = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
-    stop = False
     for b_extra in combinations(w_free, b_size - 1):
-        if stop or deadline.expired():
+        if deadline.expired():
             break
         examined += 1
         b_set = FactorSet(g, tuple(sorted((0,) + b_extra)))
-        abd = product_distinct(a.members, b_set)
+        abd = product_distinct(a_members, b_set)
         if abd is not None:
             abd = product_distinct(abd, d)
         if abd is None:
             continue
         builds += 1
-        graph = case3_build_graph(a, b_set, d, coset_of)
-        adj = graph.adjacency()
+        graph = case3_build_graph(b_set, d, yd_masks)
         limit = None if find_all else 1
-        if max_solutions is not None:
+        if find_all and max_solutions is not None:
             limit = max_solutions - len(raw)
-        for combo in independent_sets_of_size(adj, len(graph.vertices), s, find_all=find_all, limit=limit):
+        for combo in exact_covers(graph.masks, len(reps), s, limit):
             c_set = tuple(sorted(graph.vertices[i] for i in combo))
             raw.append((a.indices, b_set.indices, c_set, d.indices))
-            if not find_all:
-                stop = True
-                break
-        if max_solutions is not None and len(raw) >= max_solutions:
+        if raw and (not find_all or max_solutions is not None and len(raw) >= max_solutions):
             break
     solutions = _sorted_certs(g, raw)
     capped = max_solutions is not None and len(raw) >= max_solutions
@@ -746,31 +736,36 @@ def _scan_block_cover(
     deadline: _Deadline,
 ) -> tuple[str, int, Certificate | None]:
     """Pattern (2, b, c, 2): for each involution d and each candidate B of
-    coset representatives containing e, a factorization exists iff the
-    block-compatibility graph has an independent set of size c."""
+    coset representatives containing e, a factorization exists iff c blocks
+    of the compatibility graph exactly cover the right A-cosets."""
     a = subgroup_from_indices(group, (0, a_rep))
+    a_members = a.members
     reps, coset_of, _ = _right_cosets(a)
     examined = 0
     for d in _involutions(group):
         d_set = FactorSet(group, (0, d))
+        yd_masks = _coset_masks(group, d_set, coset_of)
         for extra in combinations(reps[1:], b_size - 1):
             if deadline.expired():
                 return "UNKNOWN", examined, None
             examined += 1
             b_set = FactorSet(group, tuple(sorted((0,) + extra)))
-            if product_distinct(a.members, b_set) is None:
+            if product_distinct(a_members, b_set) is None:
                 continue
-            graph = case3_build_graph(a, b_set, d_set, coset_of)
-            if len(graph.vertices) < c_size:
-                continue
-            adj = graph.adjacency()
-            for combo in independent_sets_of_size(adj, len(graph.vertices), c_size, find_all=False):
+            graph = case3_build_graph(b_set, d_set, yd_masks)
+            for combo in exact_covers(graph.masks, len(reps), c_size, limit=1):
                 c_set = tuple(sorted(graph.vertices[i] for i in combo))
                 cert = certificate(group, (a.indices, b_set.indices, c_set, d_set.indices))
                 if cert.verify().valid:
                     return "FOUND", examined, cert
                 raise AssertionError("block-cover construction failed verification")
     return "NONE", examined, None
+
+
+# Completed block-cover scans (NONE or FOUND) per group, keyed by (a_rep,
+# smaller middle, larger middle): (2, b, c, 2) with b > c is scanned as its
+# reversal (2, c, b, 2), the same scan.  A scan cut short is never kept.
+_BLOCK_COVER_SCANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def refute(
@@ -811,26 +806,30 @@ def refute(
     if two_ended:
         strategy = "coset-parity" if len(pattern) == 3 else "block-cover"
         total = 0
+        notes = ""
         best: tuple[str, Certificate | None] = ("NONE", None)
         for a_rep in involution_class_reps(group):
             if len(pattern) == 3:
                 verdict, examined, cert = _scan_parity(group, a_rep, pattern[1], deadline)
             else:
-                b_size, c_size = pattern[1], pattern[2]
-                if b_size > c_size:
-                    # scan the reversed pattern instead: smaller middle first
-                    verdict, examined, cert = _scan_block_cover(group, a_rep, c_size, b_size, deadline)
+                key = (a_rep,) + tuple(sorted(pattern[1:3]))
+                done = _BLOCK_COVER_SCANS.setdefault(group, {})
+                if key in done:
+                    notes = f"reused the completed block-cover scan of (2, {key[1]}, {key[2]}, 2)"
+                verdict, examined, cert = done.get(key) or _scan_block_cover(group, *key, deadline)
+                if verdict != "UNKNOWN":
+                    done[key] = (verdict, examined, cert)
+                if pattern[1] > pattern[2]:
+                    # the reversed pattern was scanned: smaller middle first
                     if cert is not None:
                         cert = _reversed_certs(group, [cert])[0]
                     strategy = "block-cover (reversed)"
-                else:
-                    verdict, examined, cert = _scan_block_cover(group, a_rep, b_size, c_size, deadline)
             total += examined
             if verdict == "FOUND":
-                return RefutationRecord(pattern, "FOUND", strategy, total, cert, deadline.elapsed())
+                return RefutationRecord(pattern, "FOUND", strategy, total, cert, deadline.elapsed(), notes=notes)
             if verdict == "UNKNOWN":
                 best = ("UNKNOWN", None)
-        return RefutationRecord(pattern, best[0], strategy, total, None, deadline.elapsed())
+        return RefutationRecord(pattern, best[0], strategy, total, None, deadline.elapsed(), notes=notes)
     if strategy == "generic" or group.order <= cap_generic:
         cap = max(cap_generic, group.order) if strategy == "generic" else cap_generic
         report = generic_search(group, pattern, find_all=False, budget_s=budget_s, cap=cap)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from factorix.catalog import Catalog, CatalogInvalid
+from factorix.catalog import Catalog, CatalogInvalid, open_catalog
 from factorix.certify import verify_certificate
 from factorix.driver import (
     RecipeInvalid, build_recipe, multifold, repro, run_refutation, run_search,
@@ -176,6 +176,28 @@ def test_run_refutation_entry(cat):
 def test_refutation_instance_counts_pinned(cat):
     assert run_refutation(cat, "refute-a4-232")["instances"] == 285
     assert run_refutation(cat, "refute-a5-2-15-2")["instances"] == 15
+
+
+def test_block_cover_refutations_pinned():
+    fresh = open_catalog()
+    first = run_refutation(fresh, "refute-a5-2-3-5-2")
+    second = run_refutation(fresh, "refute-a5-2-5-3-2")
+    assert (first["verdict"], first["instances"], first["strategy"]) == ("NONE", 6090, "block-cover")
+    assert (second["verdict"], second["instances"], second["strategy"]) == (
+        "NONE", 6090, "block-cover (reversed)")
+    assert "notes" not in first
+    assert second["notes"] == "reused the completed block-cover scan of (2, 3, 5, 2)"
+    assert first["pass"] and second["pass"]
+
+
+def test_block_cover_budget_unknown():
+    fresh = open_catalog()
+    res = run_refutation(fresh, "refute-a5-2-5-3-2", budget_s=0.0)
+    assert (res["verdict"], res["strategy"]) == ("UNKNOWN", "block-cover (reversed)")
+    assert res["pass"] is False and "notes" not in res
+    # the cut scan was not kept: the full run scans afresh
+    full = run_refutation(fresh, "refute-a5-2-3-5-2")
+    assert (full["verdict"], full["instances"]) == ("NONE", 6090) and "notes" not in full
 
 
 def test_case3_graph_builds_pinned(cat):

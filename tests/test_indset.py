@@ -2,72 +2,124 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from factorix.indset import independent_sets_of_size
+from factorix.group import bits_of
+from factorix.indset import exact_covers
+from factorix.structure import coset_index_map, right_transversal, subgroup_from_indices
 
 
-def adjacency(n, edges):
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
-def brute(adj, n, size):
+def brute(masks, n_positions, size):
+    full = (1 << n_positions) - 1
     out = []
-    for combo in combinations(range(n), size):
-        if all(not adj[u] >> v & 1 for u, v in combinations(combo, 2)):
-            out.append(combo)
+    for combo in combinations(range(len(masks)), size):
+        acc = 0
+        for i in combo:
+            if acc & masks[i]:
+                break
+            acc |= masks[i]
+        else:
+            if acc == full:
+                out.append(combo)
     return out
 
 
+def case3_blocks(group, a_indices, b_indices, d_indices):
+    """Masks of the blocks A*B*x*D over the right A-cosets, for every x whose
+    block has |B||D| cosets; computed from the group rows directly."""
+    a = subgroup_from_indices(group, a_indices)
+    reps = right_transversal(a)
+    coset_of = coset_index_map(a, reps)
+    need = len(b_indices) * len(d_indices)
+    masks = []
+    for x in range(group.order):
+        mask = bits_of(coset_of[group.row(group.row(b)[x])[d]] for b in b_indices for d in d_indices)
+        if mask.bit_count() == need:
+            masks.append(mask)
+    return masks, len(reps)
+
+
+def involution(group, k=0):
+    return [x for x in range(group.order) if group.element_orders[x] == 2][k]
+
+
 def test_path_graph_find_all():
-    adj = adjacency(4, [(0, 1), (1, 2), (2, 3)])
-    assert independent_sets_of_size(adj, 4, 2, find_all=True) == [(0, 2), (0, 3), (1, 3)]
+    # blocks {0,1}, {1,2}, {2,3}: their overlap graph is a path
+    assert exact_covers([0b0011, 0b0110, 0b1100], 4, 2) == [(0, 2)]
+    assert exact_covers([0b0011, 0b0110, 0b1100], 4, 3) == []
 
 
 def test_cycle_graph_infeasible_size():
-    adj = adjacency(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert independent_sets_of_size(adj, 5, 3, find_all=True) == []
-    assert len(independent_sets_of_size(adj, 5, 2, find_all=True)) == 5
+    # the edges of an n-cycle as blocks over its vertices: the covers are the
+    # two perfect matchings for even n and none for odd n
+    def cycle(n):
+        return [(1 << i) | (1 << (i + 1) % n) for i in range(n)]
+    assert exact_covers(cycle(6), 6, 3) == [(0, 2, 4), (1, 3, 5)]
+    assert exact_covers(cycle(5), 5, 2) == []
+    assert exact_covers(cycle(5), 5, 3) == []
+    assert exact_covers(cycle(6), 6, 2) == []
 
 
 def test_empty_graph():
-    adj = [0] * 6
-    assert independent_sets_of_size(adj, 6, 6, find_all=True) == [tuple(range(6))]
+    # pairwise disjoint blocks: the only cover takes all of them
+    assert exact_covers([1 << i for i in range(6)], 6, 6) == [tuple(range(6))]
+    assert exact_covers([1 << i for i in range(6)], 6, 5) == []
 
 
 def test_complete_graph():
-    adj = adjacency(4, list(combinations(range(4), 2)))
-    assert independent_sets_of_size(adj, 4, 1, find_all=True) == [(0,), (1,), (2,), (3,)]
-    assert independent_sets_of_size(adj, 4, 2, find_all=True) == []
+    # every pair of blocks overlaps
+    assert exact_covers([0b11] * 4, 2, 1) == [(0,), (1,), (2,), (3,)]
+    assert exact_covers([0b11] * 4, 2, 2) == []
+    assert exact_covers([0b011, 0b110, 0b101], 3, 1) == []
 
 
 def test_find_first_and_limit():
-    adj = [0] * 8
-    first = independent_sets_of_size(adj, 8, 3)
-    assert len(first) == 1
-    four = independent_sets_of_size(adj, 8, 3, find_all=True, limit=4)
-    assert len(four) == 4
+    masks = [1 << (i % 4) for i in range(12)]  # three copies of each position
+    every = exact_covers(masks, 4, 4)
+    assert len(every) == 3 ** 4
+    first = exact_covers(masks, 4, 4, limit=1)
+    assert len(first) == 1 and first[0] in every
+    four = exact_covers(masks, 4, 4, limit=4)
+    assert len(four) == 4 and set(four) <= set(every) and four == sorted(four)
+    assert first[0] in four
+    assert exact_covers(masks, 4, 4, limit=1000) == every
+    assert exact_covers(masks, 4, 4, limit=0) == []
 
 
 def test_size_zero_and_empty():
-    assert independent_sets_of_size([], 0, 0) == [()]
-    assert independent_sets_of_size([], 0, 1) == []
+    assert exact_covers([], 0, 0) == [()]
+    assert exact_covers([0b1], 1, 0) == []
+    assert exact_covers([], 0, 1) == []
+    assert exact_covers([], 3, 1) == []
+    assert exact_covers([], 3, 0) == []
 
 
-def test_matches_brute_force():
-    # a fixed irregular graph on 9 vertices
-    edges = [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (3, 4), (4, 5),
-             (5, 6), (6, 7), (7, 8), (8, 0), (2, 6), (3, 8)]
-    adj = adjacency(9, edges)
-    for size in range(1, 5):
-        got = independent_sets_of_size(adj, 9, size, find_all=True)
-        assert got == sorted(brute(adj, 9, size))
+def test_matches_brute_force(a4, a5):
+    cases = []
+    for k in range(3):
+        t = involution(a4, k)
+        for d in (t, involution(a4, (k + 1) % 3)):
+            cases.append((a4, (0, t), (0,), (0, d), 3))
+    c3 = next(x for x in range(a4.order) if a4.element_orders[x] == 3)
+    a_c3 = tuple(sorted(a4.closure_indices([c3])))
+    cases.append((a4, a_c3, (0,), (0,), 4))
+    t = involution(a5)
+    reps = right_transversal(subgroup_from_indices(a5, (0, t)))
+    c5 = next(x for x in range(a5.order) if a5.element_orders[x] == 5)
+    a5_c5 = tuple(sorted(a5.closure_indices([c5])))
+    for extra in list(combinations(reps[1:], 2))[:60:3]:
+        cases.append((a5, (0, t), (0,) + extra, a5_c5, 2))
+    for extra in list(combinations(reps[1:], 4))[:40:8]:
+        cases.append((a5, (0, t), (0,) + extra, (0, involution(a5, 7)), 3))
+    nontrivial = 0
+    for group, a_idx, b_idx, d_idx, size in cases:
+        masks, n = case3_blocks(group, a_idx, b_idx, d_idx)
+        want = brute(masks, n, size)
+        assert exact_covers(masks, n, size) == want
+        nontrivial += bool(want)
+    assert nontrivial >= 3
 
 
-def test_deterministic():
-    adj = adjacency(6, [(0, 1), (2, 3), (4, 5), (1, 2)])
-    a = independent_sets_of_size(adj, 6, 3, find_all=True)
-    b = independent_sets_of_size(adj, 6, 3, find_all=True)
-    assert a == b
+def test_deterministic(a4):
+    c3 = next(x for x in range(a4.order) if a4.element_orders[x] == 3)
+    masks, n = case3_blocks(a4, tuple(sorted(a4.closure_indices([c3]))), (0,), (0,))
+    assert exact_covers(masks, n, 4) == exact_covers(list(masks), n, 4)
+    assert exact_covers(masks, n, 4, limit=5) == exact_covers(masks, n, 4, limit=5)

@@ -365,6 +365,17 @@ def test_refute_block_cover(a4):
     assert (swapped.verdict, swapped.strategy) == ("NONE", "block-cover (reversed)")
 
 
+def test_refute_block_cover_reuses_found_scan():
+    c2_cubed = group_from(6, "(1,2)", "(3,4)", "(5,6)")
+    first = refute(c2_cubed, (2, 1, 2, 2))
+    assert (first.verdict, first.strategy, first.notes) == ("FOUND", "block-cover", "")
+    second = refute(c2_cubed, (2, 2, 1, 2))
+    assert (second.verdict, second.strategy) == ("FOUND", "block-cover (reversed)")
+    assert second.instances_examined == first.instances_examined
+    assert second.notes == "reused the completed block-cover scan of (2, 1, 2, 2)"
+    assert second.certificate.pattern == (2, 2, 1, 2) and second.certificate.verify().valid
+
+
 def test_refute_generic_found(s3):
     rec = refute(s3, (2, 3))
     assert rec.verdict == "FOUND"
