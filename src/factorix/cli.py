@@ -212,7 +212,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     mode.add_argument("--json", action="store_true", help="machine readable report")
     mode.add_argument("--human", action="store_true", help="plain text report (default)")
     sub.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="N",
-                     help="worker threads for the search engines (default: all cores)")
+                     help="forked worker processes for the case2 search engine (default: all cores)")
     sub.add_argument("--budget", type=float, default=None, metavar="SECONDS",
                      help="wall clock budget, overriding any catalog default")
     sub.add_argument("--cap-generic", type=int, default=60, metavar="N",

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .perm import Perm, compose, identity, inverse
 
 MAX_ORDER = 10_000
-FULL_TABLE_MAX = 4096
 
 
 class OrderCapExceeded(RuntimeError):
@@ -70,11 +69,8 @@ class FactorSet:
 
 
 class GroupTable:
-    """Closed element list with multiplication, inverse and order tables.
-
-    The full n*n product table is materialized when n <= FULL_TABLE_MAX;
-    beyond that rows are computed on demand and cached.
-    """
+    """Closed element list with the full n*n multiplication table, the
+    inverse table and the element orders."""
 
     def __init__(self, elements: list[Perm], generators: list[Perm]):
         self.degree = elements[0].degree if elements else 1
@@ -88,11 +84,7 @@ class GroupTable:
         if not self.elements[0].is_identity():
             raise ValueError("element list lacks the identity")
         self.inv: list[int] = [self.index[inverse(p).images] for p in self.elements]
-        self._rows: dict[int, list[int]] = {}
-        if n <= FULL_TABLE_MAX:
-            self.mul: list[list[int]] | None = [self._make_row(a) for a in range(n)]
-        else:
-            self.mul = None
+        self.mul: list[list[int]] = [self._make_row(a) for a in range(n)]
         self.element_orders: list[int] = self._order_table()
 
     def _make_row(self, a: int) -> list[int]:
@@ -101,12 +93,7 @@ class GroupTable:
         return [idx[compose(pa, pb).images] for pb in self.elements]
 
     def row(self, a: int) -> list[int]:
-        if self.mul is not None:
-            return self.mul[a]
-        cached = self._rows.get(a)
-        if cached is None:
-            cached = self._rows[a] = self._make_row(a)
-        return cached
+        return self.mul[a]
 
     def mul_idx(self, a: int, b: int) -> int:
         return self.row(a)[b]

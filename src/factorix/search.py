@@ -231,113 +231,102 @@ def case1_search(
 
 # ---------------------------------------------------------------- case 2
 
-_PAR_CTX: dict = {}
+
+@dataclass(frozen=True)
+class _Case2:
+    """What every case2 chunk reads, built once per search: the anchors,
+    the middle sizes, the punctured transversal, each element's coset
+    position, the cosets w*D sweeps for each candidate w (w's own coset
+    first), the elements of each coset, and the deadline's absolute
+    ``time.monotonic()`` limit (None without a budget)."""
+
+    a: Subgroup
+    last: FactorSet
+    sizes: tuple[int, ...]
+    w_free: list[int]
+    coset_of: list[int]
+    wd_cosets: dict[int, tuple[int, ...]]
+    coset_elem_mask: list[int]
+    find_all: bool
+    limit: float | None
 
 
-def _case2_context(a: Subgroup, last: FactorSet, middle_sizes, find_all):
-    g = a.group
-    if last.group is not g:
-        raise AnchorInvalid("anchors live in different groups")
-    if not last.contains_identity():
-        raise AnchorInvalid("last-factor anchor must contain the identity")
-    sizes = tuple(middle_sizes)
-    if len(sizes) not in (1, 2):
-        raise AnchorInvalid("case2 expects one or two middle factors")
-    if len(a) * prod(sizes) * len(last) != g.order:
-        raise AnchorInvalid("pattern does not multiply to the group order")
-    w_reps, coset_of, w_free = _right_cosets(a, last)
-    n_cosets = len(w_reps)
-    # cosets swept by w*D for each candidate w (first entry is w's own coset)
-    wd_cosets = {}
-    for w in [0] + w_free:
-        row = g.row(w)
-        wd_cosets[w] = tuple(coset_of[row[x]] for x in last.indices)
-    coset_elem_mask = [bits_of(g.row(x)[w_reps[j]] for x in a.indices) for j in range(n_cosets)]
-    return {
-        "group": g,
-        "a": a,
-        "last": last,
-        "sizes": sizes,
-        "w_free": w_free,
-        "coset_of": coset_of,
-        "n_cosets": n_cosets,
-        "wd_cosets": wd_cosets,
-        "coset_elem_mask": coset_elem_mask,
-        "find_all": find_all,
-    }
+# The context of a forked case2 worker, appended by the pool initializer in
+# the worker itself; it stays empty in the parent.
+_WORKER_CTX: list[_Case2] = []
 
 
-def _case2_chunk(first_index: int) -> tuple[int, int, list[tuple[tuple[int, ...], ...]]]:
+def _case2_worker(first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ...]], bool]:
+    return _case2_chunk(_WORKER_CTX[0], first_index)
+
+
+def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ...]], bool]:
     """Enumerate every middle-factor choice whose least non-identity B
-    element is w_free[first_index]; returns (examined, leaves, raw certs)."""
-    ctx = _PAR_CTX
-    g: GroupTable = ctx["group"]
-    a: Subgroup = ctx["a"]
-    last: FactorSet = ctx["last"]
-    b_size = ctx["sizes"][0]
-    c_size = ctx["sizes"][1] if len(ctx["sizes"]) == 2 else None
-    w_free: list[int] = ctx["w_free"]
-    coset_of: list[int] = ctx["coset_of"]
-    wd = ctx["wd_cosets"]
-    n_cosets: int = ctx["n_cosets"]
-    find_all: bool = ctx["find_all"]
+    element is w_free[first_index] (the one choice B = {e} when |B| = 1);
+    returns (examined, raw certs, budget_hit).  The deadline is read once
+    per completed B, before any of its candidates is examined."""
+    g: GroupTable = ctx.a.group
+    last = ctx.last
+    b_size = ctx.sizes[0]
+    c_size = ctx.sizes[1] if len(ctx.sizes) == 2 else None
+    w_free = ctx.w_free
+    coset_of = ctx.coset_of
+    wd = ctx.wd_cosets
+    n_cosets = len(ctx.coset_elem_mask)
 
     base_mask = 0
     for j in wd[0]:
         base_mask |= 1 << j
 
     examined = 0
-    leaves = 0
+    budget_hit = False
     raw: list[tuple[tuple[int, ...], ...]] = []
 
     def emit(b_extra: tuple[int, ...], c_extra: tuple[int, ...]) -> None:
-        factors = [a.indices, tuple(sorted((0,) + b_extra))]
+        factors = [ctx.a.indices, tuple(sorted((0,) + b_extra))]
         if c_size is not None:
             factors.append(tuple(sorted((0,) + c_extra)))
         factors.append(last.indices)
         raw.append(tuple(factors))
 
     def leaf(b_extra: tuple[int, ...], mask: int) -> bool:
-        nonlocal examined, leaves
-        leaves += 1
+        nonlocal examined, budget_hit
+        if ctx.limit is not None and time.monotonic() > ctx.limit:
+            budget_hit = True
+            return True
         if c_size is None:
             examined += 1
             if mask.bit_count() == n_cosets:
                 emit(b_extra, ())
-                return not find_all
+                return not ctx.find_all
             return False
         # candidates for the next factor: elements outside A*B*D
         abd_elems = 0
         for j in iter_bits(mask):
-            abd_elems |= ctx["coset_elem_mask"][j]
+            abd_elems |= ctx.coset_elem_mask[j]
         b_full = (0,) + b_extra
-        found_stop = False
         for x in iter_bits(((1 << g.order) - 1) ^ abd_elems):
             examined += 1
-            if c_size == 2:
-                step = 0
-                ok = True
-                row_cache = g.row
-                for w in b_full:
-                    wx = row_cache(w)[x]
-                    rowwx = row_cache(wx)
-                    for dd in last.indices:
-                        j = coset_of[rowwx[dd]]
-                        bit = 1 << j
-                        if (mask | step) & bit:
-                            ok = False
-                            break
-                        step |= bit
-                    if not ok:
+            step = 0
+            ok = True
+            row_cache = g.row
+            for w in b_full:
+                wx = row_cache(w)[x]
+                rowwx = row_cache(wx)
+                for dd in last.indices:
+                    j = coset_of[rowwx[dd]]
+                    bit = 1 << j
+                    if (mask | step) & bit:
+                        ok = False
                         break
-                if ok and (mask | step).bit_count() == n_cosets:
-                    emit(b_extra, (x,))
-                    if not find_all:
-                        found_stop = True
-                        break
-            else:
-                raise AnchorInvalid("case2 middle factors beyond (b,) and (b,2) not supported")
-        return found_stop
+                    step |= bit
+                if not ok:
+                    break
+            if ok and (mask | step).bit_count() == n_cosets:
+                emit(b_extra, (x,))
+                if not ctx.find_all:
+                    return True
+        return False
 
     def extend(b_extra: tuple[int, ...], mask: int, start: int) -> bool:
         if len(b_extra) == b_size - 1:
@@ -360,11 +349,8 @@ def _case2_chunk(first_index: int) -> tuple[int, int, list[tuple[tuple[int, ...]
                 return True
         return False
 
-    if b_size == 1:
-        leaf((), base_mask)
-    else:
-        extend((), base_mask, first_index)
-    return examined, leaves, raw
+    extend((), base_mask, first_index)
+    return examined, raw, budget_hit
 
 
 def case2_search(
@@ -377,38 +363,57 @@ def case2_search(
 ) -> SearchReport:
     """Enumerate G = A*B*D or A*B*C*D with subgroup A first and the set D
     anchored last.  B runs over punctured-transversal subsets with coset
-    prefix pruning; C (size 2) runs over the complement of A*B*D."""
-    global _PAR_CTX
+    prefix pruning; C (size 2) runs over the complement of A*B*D.
+
+    The work is one chunk per least non-identity B element.  The chunks run
+    in this process, or in ``threads`` forked worker processes when there
+    is more than one chunk; either way the results merge in chunk order and
+    stop at the first chunk that ran out of budget or, in find-first mode,
+    found a solution.  Counts and answers therefore do not depend on
+    ``threads``, and the budget is honoured at any thread count."""
+    g = a.group
+    if last.group is not g:
+        raise AnchorInvalid("anchors live in different groups")
+    if not last.contains_identity():
+        raise AnchorInvalid("last-factor anchor must contain the identity")
+    sizes = tuple(middle_sizes)
+    if not sizes or sizes[1:] not in ((), (2,)):
+        raise AnchorInvalid("case2 supports the middle sizes (b,) and (b,2) only")
+    if len(a) * prod(sizes) * len(last) != g.order:
+        raise AnchorInvalid("pattern does not multiply to the group order")
     deadline = _Deadline(budget_s)
-    ctx = _case2_context(a, last, middle_sizes, find_all)
-    g = ctx["group"]
-    sizes = ctx["sizes"]
-    w_free = ctx["w_free"]
+    w_reps, coset_of, w_free = _right_cosets(a, last)
+    wd_cosets = {}
+    for w in [0] + w_free:
+        row = g.row(w)
+        wd_cosets[w] = tuple(coset_of[row[x]] for x in last.indices)
+    coset_elem_mask = [bits_of(g.row(x)[w] for x in a.indices) for w in w_reps]
+    ctx = _Case2(a, last, sizes, w_free, coset_of, wd_cosets, coset_elem_mask, find_all, deadline.limit)
+
     b_size = sizes[0]
     space = comb(len(w_free), b_size - 1)
     if len(sizes) == 2:
         space *= comb(g.order - len(a) * b_size * len(last), sizes[1] - 1)
 
-    chunk_count = len(w_free) if b_size > 1 else 1
-    chunks = list(range(chunk_count))
-    _PAR_CTX = ctx
+    chunks = range(len(w_free) if b_size > 1 else 1)
+    pool = None
+    if threads > 1 and len(chunks) > 1:
+        # under fork the initializer and its argument are inherited, not pickled
+        pool = ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_WORKER_CTX.append, initargs=(ctx,))
     examined = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
-    if threads > 1 and find_all and chunk_count > 1:
-        mp_ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=mp_ctx) as pool:
-            for exa, _leaves, part in pool.map(_case2_chunk, chunks):
-                examined += exa
-                raw.extend(part)
-    else:
-        for chunk in chunks:
-            if deadline.expired():
-                break
-            exa, _leaves, part = _case2_chunk(chunk)
+    try:
+        results = pool.map(_case2_worker, chunks) if pool else (_case2_chunk(ctx, i) for i in chunks)
+        for exa, part, budget_hit in results:
             examined += exa
             raw.extend(part)
-            if part and not find_all:
+            if budget_hit or (part and not find_all):
+                deadline.hit = budget_hit
                 break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     solutions = _sorted_certs(g, raw)
     pattern = (len(a),) + sizes + (len(last),)
     return SearchReport(

@@ -165,6 +165,14 @@ def test_run_search_budget_override(cat):
     assert res["pass"] is False
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_search_budget_at_any_thread_count(cat, threads):
+    res = run_search(cat, "search-lemma-3.3", threads=threads, budget_s=0.5)
+    assert res["budget_hit"] is True
+    assert res["exhaustive"] is False and res["pass"] is False
+    assert res["wall_s"] < 1.5
+
+
 def test_run_refutation_entry(cat):
     res = run_refutation(cat, "refute-a4-232")
     assert res["pass"] is True

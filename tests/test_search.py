@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from itertools import combinations
 
 import pytest
@@ -190,6 +192,51 @@ def test_case2_anchor_validation(s4):
         case2_search(a, fs(s4, "()", "(1,2)"), (6,))
     with pytest.raises(AnchorInvalid):
         case2_search(a, fs(s4, "()", "(3,4)"), (2, 3))
+    # a zero budget stops before any C candidate: the sizes are checked first
+    with pytest.raises(AnchorInvalid):
+        case2_search(a, fs(s4, "()", "(1,2)(3,4)"), (2, 3), budget_s=0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_case2_keeps_no_group_alive(threads):
+    g = group_from(4, "(1,2)", "(1,2,3,4)")
+    case2_search(sub(g, "(1,2)"), fs(g, "()", "(1,2)(3,4)"), (6,), threads=threads)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def catalog_case2(cat, search_id, **kwargs):
+    spec = cat.search(search_id)
+    group = cat.group(spec["group"])
+    engine = case2_search_reversed if spec["engine"] == "case2-reversed" else case2_search
+    return engine(cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"]),
+                  tuple(spec["middle"]), **kwargs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("search_id, find_all, examined, solutions", [
+    ("search-lemma-3.5", True, 8, 8),
+    ("search-lemma-3.5", False, 1, 1),
+    ("search-lemma-4.4", True, 206640, 144),
+    ("search-lemma-4.4", False, 417, 1),
+    ("search-lemma-4.7", True, 30780, 288),
+    ("search-lemma-4.7", False, 6, 1),
+    ("search-lemma-3.3", False, 2635, 1),
+])
+def test_case2_counters_pinned(cat, threads, search_id, find_all, examined, solutions):
+    rep = catalog_case2(cat, search_id, find_all=find_all, threads=threads)
+    assert (rep.candidates_examined, rep.solution_count) == (examined, solutions)
+    assert rep.exhaustive and not rep.budget_hit
+
+
+def test_case2_find_first_parallel_matches_serial(cat):
+    one = catalog_case2(cat, "search-lemma-4.4", find_all=False, threads=1)
+    two = catalog_case2(cat, "search-lemma-4.4", find_all=False, threads=2)
+    key = lambda c: tuple(f.indices for f in c.factors)
+    assert [key(c) for c in two.solutions] == [key(c) for c in one.solutions]
+    assert two.candidates_examined == one.candidates_examined == 417
 
 
 # Under ``python -O`` an ``assert`` disappears; the reversed paths must still
