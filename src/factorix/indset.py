@@ -11,6 +11,9 @@ these independent sets are exactly the exact covers by s blocks.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .group import iter_bits
 
 
@@ -26,6 +29,8 @@ def exact_covers(
     Branches on the uncovered position with the fewest fitting blocks (ties:
     the lowest position), trying them in index order."""
     full = (1 << n_positions) - 1
+    if limit == 0 or full & ~reduce(or_, masks, 0):
+        return []  # a position that no block holds admits no cover
     holders = [0] * n_positions  # per position: the blocks containing it
     for i, m in enumerate(masks):
         while m:
@@ -54,6 +59,5 @@ def exact_covers(
                 return True
         return False
 
-    if limit != 0:
-        search(0, (1 << len(masks)) - 1, ())
+    search(0, (1 << len(masks)) - 1, ())
     return sorted(out)

@@ -1,11 +1,17 @@
 """Search engines for group factorizations.
 
-Three anchored engines cover the productive configurations:
+Three anchored engines cover the productive configurations.  All three
+test candidates on masks of right A-cosets: ``_coset_masks`` gives, once
+per search, the cosets met by y*D for every element y, and
+``_block_masks`` ORs them over the rows of B into the mask of the block
+A*B*x*D, rejecting x at the first overlap.
 
 * case1: both end factors are subgroups, middle factors are enumerated
-  over punctured transversals.
-* case2: one end is a subgroup, the other a fixed small set; middle
-  factors are enumerated with coset-mask prefix pruning.
+  over punctured transversals; A*B*C*D = G iff the block masks of the
+  elements of C meet every coset.
+* case2: one end is a subgroup, the other a fixed small set; B is
+  enumerated with coset-mask prefix pruning, and C = {e, x} is accepted
+  iff the block mask of x fills the cosets A*B*D misses.
 * case3: subgroup end, fixed set end, one enumerated middle factor; the
   remaining factor is an exact cover of the right A-cosets by compatible
   blocks A*B*x*D, found by the kernel in ``factorix.indset``.
@@ -21,6 +27,7 @@ constructions.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -129,6 +136,30 @@ def _right_cosets(
     return reps, coset_of, [w for w in reps if coset_of[w] not in blocked]
 
 
+def _coset_masks(g: GroupTable, d: FactorSet | Subgroup, coset_of: list[int]) -> list[int]:
+    """For every element y, the mask of the right A-cosets met by y*D;
+    ``coset_of`` maps each element to its coset position."""
+    return [bits_of(coset_of[row[dd]] for dd in d.indices) for row in map(g.row, range(g.order))]
+
+
+def _block_masks(
+    rows: list[list[int]], yd_masks: list[int], xs: Iterable[int], base: int = 0,
+) -> Iterator[tuple[int, int]]:
+    """The block mask every anchored engine tests: for each x in ``xs``
+    whose masks ``yd_masks[row[x]]``, row in ``rows`` (the rows of B's
+    elements b, so the cosets met by b*x*D), are pairwise disjoint and miss
+    ``base``, yield x and the union of those masks with ``base``."""
+    for x in xs:
+        m = base
+        for row in rows:
+            y = yd_masks[row[x]]
+            if m & y:
+                break
+            m |= y
+        else:
+            yield x, m
+
+
 # ---------------------------------------------------------------- case 1
 
 
@@ -140,7 +171,12 @@ def case1_search(
     budget_s: float | None = None,
 ) -> SearchReport:
     """Enumerate G = A*B*C*D with subgroups A, D anchored and the middle
-    factors drawn from punctured transversals of A (right) and D (left)."""
+    factors drawn from punctured transversals of A (right) and D (left).
+    Since |A||B||C||D| = |G|, A*B*C*D = G exactly when the cosets met by
+    b*c*D, b in B and c in C, are every right A-coset; they are then
+    pairwise disjoint.  Per B this takes the block mask of each c
+    (``_block_masks``; a c whose masks overlap has none and fails), then
+    per C the union of its blocks."""
     g = a.group
     if d.group is not g:
         raise AnchorInvalid("anchors live in different groups")
@@ -152,7 +188,7 @@ def case1_search(
         raise AnchorInvalid("pattern does not multiply to the group order")
     deadline = _Deadline(budget_s)
 
-    w_reps, _, w_free = _right_cosets(a, d)
+    w_reps, coset_of, w_free = _right_cosets(a, d)
 
     v_reps = left_transversal(d)
     lcoset_of = left_coset_index_map(d, v_reps)
@@ -162,9 +198,8 @@ def case1_search(
     v_free = [v for v in v_reps if lcoset_of[v] not in vblocked]
 
     space = comb(len(w_free), b_size - 1) * comb(len(v_free), c_size - 1)
-    a_mask = a.bits
-    coset_mask = {w: bits_of(g.row(x)[w] for x in a.indices) for w in w_reps}
-    d_elems = d.indices
+    yd_masks = _coset_masks(g, d, coset_of)
+    full = (1 << len(w_reps)) - 1
 
     examined = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
@@ -172,38 +207,16 @@ def case1_search(
     for b_extra in combinations(w_free, b_size - 1):
         if stop or deadline.expired():
             break
-        ab_mask = a_mask
-        for w in b_extra:
-            ab_mask |= coset_mask[w]
-        ab = list(iter_bits(ab_mask))
+        b_rows = [g.row(w) for w in (0,) + b_extra]
+        blocks = dict(_block_masks(b_rows, yd_masks, [0] + v_free))
         for c_extra in combinations(v_free, c_size - 1):
             if deadline.expired():
                 break
             examined += 1
-            abc_mask = ab_mask
-            ok = True
-            for c in c_extra:
-                step = 0
-                for x in ab:
-                    step |= 1 << g.row(x)[c]
-                if step & abc_mask:
-                    ok = False
-                    break
-                abc_mask |= step
-            if not ok:
-                continue
-            final = abc_mask
-            for dd in d_elems:
-                if dd == 0:
-                    continue
-                step = 0
-                for x in iter_bits(abc_mask):
-                    step |= 1 << g.row(x)[dd]
-                if step & final:
-                    ok = False
-                    break
-                final |= step
-            if ok and final.bit_count() == g.order:
+            m = 0
+            for c in (0,) + c_extra:
+                m |= blocks.get(c, 0)
+            if m == full:
                 raw.append(
                     (
                         a.indices,
@@ -236,19 +249,20 @@ def case1_search(
 class _Case2:
     """What every case2 chunk reads, built once per search: the anchors,
     the middle sizes, the punctured transversal, each element's coset
-    position, the cosets w*D sweeps for each candidate w (w's own coset
-    first), the elements of each coset, and the deadline's absolute
-    ``time.monotonic()`` limit (None without a budget)."""
+    position, the mask of the cosets y*D meets for each element y
+    (``_coset_masks``), the deadline's absolute ``time.monotonic()`` limit
+    (None without a budget) and, in a forked find-first run, the shared
+    lowest index of a chunk that found a solution (None otherwise)."""
 
     a: Subgroup
     last: FactorSet
     sizes: tuple[int, ...]
     w_free: list[int]
     coset_of: list[int]
-    wd_cosets: dict[int, tuple[int, ...]]
-    coset_elem_mask: list[int]
+    yd_masks: list[int]
     find_all: bool
     limit: float | None
+    first_hit: multiprocessing.sharedctypes.Synchronized | None
 
 
 # The context of a forked case2 worker, appended by the pool initializer in
@@ -263,20 +277,20 @@ def _case2_worker(first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ..
 def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ...]], bool]:
     """Enumerate every middle-factor choice whose least non-identity B
     element is w_free[first_index] (the one choice B = {e} when |B| = 1);
-    returns (examined, raw certs, budget_hit).  The deadline is read once
-    per completed B, before any of its candidates is examined."""
+    returns (examined, raw certs, budget_hit).  The deadline, and in a
+    forked find-first run the lowest chunk index with a solution, are read
+    once per completed B, before any of its candidates is examined; a
+    chunk above that index stops, since its results are never merged."""
     g: GroupTable = ctx.a.group
     last = ctx.last
     b_size = ctx.sizes[0]
     c_size = ctx.sizes[1] if len(ctx.sizes) == 2 else None
     w_free = ctx.w_free
-    coset_of = ctx.coset_of
-    wd = ctx.wd_cosets
-    n_cosets = len(ctx.coset_elem_mask)
-
-    base_mask = 0
-    for j in wd[0]:
-        base_mask |= 1 << j
+    yd = ctx.yd_masks
+    d_size = len(last)
+    full = (1 << (g.order // len(ctx.a))) - 1
+    # the C candidates outside A*B*D, counted per completed B
+    outside = g.order - len(ctx.a) * b_size * d_size
 
     examined = 0
     budget_hit = False
@@ -294,37 +308,24 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
         if ctx.limit is not None and time.monotonic() > ctx.limit:
             budget_hit = True
             return True
+        if ctx.first_hit is not None and ctx.first_hit.value < first_index:
+            return True
         if c_size is None:
             examined += 1
-            if mask.bit_count() == n_cosets:
+            if mask == full:
                 emit(b_extra, ())
                 return not ctx.find_all
             return False
-        # candidates for the next factor: elements outside A*B*D
-        abd_elems = 0
-        for j in iter_bits(mask):
-            abd_elems |= ctx.coset_elem_mask[j]
-        b_full = (0,) + b_extra
-        for x in iter_bits(((1 << g.order) - 1) ^ abd_elems):
-            examined += 1
-            step = 0
-            ok = True
-            row_cache = g.row
-            for w in b_full:
-                wx = row_cache(w)[x]
-                rowwx = row_cache(wx)
-                for dd in last.indices:
-                    j = coset_of[rowwx[dd]]
-                    bit = 1 << j
-                    if (mask | step) & bit:
-                        ok = False
-                        break
-                    step |= bit
-                if not ok:
-                    break
-            if ok and (mask | step).bit_count() == n_cosets:
+        # C = {e, x}: the blocks of A*B*x*D must fill the cosets A*B*D
+        # misses; this also rejects every x inside A*B*D
+        examined += outside
+        b_rows = [g.row(w) for w in (0,) + b_extra]
+        for x, m in _block_masks(b_rows, yd, range(g.order), mask):
+            if m == full:
                 emit(b_extra, (x,))
                 if not ctx.find_all:
+                    coset_of = ctx.coset_of
+                    examined -= sum(1 for y in range(x + 1, g.order) if not mask >> coset_of[y] & 1)
                     return True
         return False
 
@@ -335,21 +336,17 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
         hi = first_index + 1 if not b_extra else len(w_free)
         for i in range(lo, hi):
             w = w_free[i]
-            step = 0
-            ok = True
-            for j in wd[w]:
-                bit = 1 << j
-                if (mask | step) & bit:
-                    ok = False
-                    break
-                step |= bit
-            if not ok:
+            step = yd[w]
+            if step & mask or step.bit_count() != d_size:
                 continue
             if extend(b_extra + (w,), mask | step, i + 1):
                 return True
         return False
 
-    extend((), base_mask, first_index)
+    extend((), yd[0], first_index)
+    if raw and ctx.first_hit is not None:
+        with ctx.first_hit.get_lock():
+            ctx.first_hit.value = min(ctx.first_hit.value, first_index)
     return examined, raw, budget_hit
 
 
@@ -363,7 +360,11 @@ def case2_search(
 ) -> SearchReport:
     """Enumerate G = A*B*D or A*B*C*D with subgroup A first and the set D
     anchored last.  B runs over punctured-transversal subsets with coset
-    prefix pruning; C (size 2) runs over the complement of A*B*D.
+    prefix pruning: w joins B only when w*D meets |D| cosets that A*B*D
+    does not yet meet.  C = {e, x} is decided by the block mask of x
+    (``_block_masks``, shared with ``case3_build_graph`` and case1): the
+    cosets met by b*x*D, b in B, must be pairwise disjoint and fill the
+    cosets A*B*D misses.  Every x outside A*B*D counts as examined.
 
     The work is one chunk per least non-identity B element.  The chunks run
     in this process, or in ``threads`` forked worker processes when there
@@ -382,24 +383,23 @@ def case2_search(
     if len(a) * prod(sizes) * len(last) != g.order:
         raise AnchorInvalid("pattern does not multiply to the group order")
     deadline = _Deadline(budget_s)
-    w_reps, coset_of, w_free = _right_cosets(a, last)
-    wd_cosets = {}
-    for w in [0] + w_free:
-        row = g.row(w)
-        wd_cosets[w] = tuple(coset_of[row[x]] for x in last.indices)
-    coset_elem_mask = [bits_of(g.row(x)[w] for x in a.indices) for w in w_reps]
-    ctx = _Case2(a, last, sizes, w_free, coset_of, wd_cosets, coset_elem_mask, find_all, deadline.limit)
+    _, coset_of, w_free = _right_cosets(a, last)
+    chunks = range(len(w_free) if sizes[0] > 1 else 1)
+    fork = multiprocessing.get_context("fork") if threads > 1 and len(chunks) > 1 else None
+    # a serial run stops at the first chunk with a solution by itself
+    first_hit = fork.Value("q", len(chunks)) if fork and not find_all else None
+    ctx = _Case2(a, last, sizes, w_free, coset_of, _coset_masks(g, last, coset_of), find_all,
+                 deadline.limit, first_hit)
 
     b_size = sizes[0]
     space = comb(len(w_free), b_size - 1)
     if len(sizes) == 2:
         space *= comb(g.order - len(a) * b_size * len(last), sizes[1] - 1)
 
-    chunks = range(len(w_free) if b_size > 1 else 1)
     pool = None
-    if threads > 1 and len(chunks) > 1:
+    if fork:
         # under fork the initializer and its argument are inherited, not pickled
-        pool = ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"),
+        pool = ProcessPoolExecutor(max_workers=threads, mp_context=fork,
                                    initializer=_WORKER_CTX.append, initargs=(ctx,))
     examined = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
@@ -475,24 +475,15 @@ class CompatibilityGraph:
     masks: tuple[int, ...]
 
 
-def _coset_masks(g: GroupTable, d: FactorSet, coset_of: list[int]) -> list[int]:
-    """For every element y, the mask of the right A-cosets met by y*D;
-    ``coset_of`` maps each element to its coset position."""
-    return [bits_of(coset_of[row[dd]] for dd in d.indices) for row in map(g.row, range(g.order))]
-
-
 def case3_build_graph(b: FactorSet, d: FactorSet, yd_masks: list[int]) -> CompatibilityGraph:
     """``yd_masks[y]`` holds the cosets met by y*D (``_coset_masks``); x is a
-    vertex iff the masks of b*x, b in B, are disjoint with |D| cosets each."""
+    vertex iff its block mask (``_block_masks``: the masks of b*x, b in B,
+    pairwise disjoint) has |B||D| cosets, i.e. |D| for each b."""
     g = b.group
-    b_rows = [g.row(bb) for bb in b.indices]
     need = len(b) * len(d)
     vertices = []
     masks = []
-    for x in range(g.order):
-        mask = 0
-        for row in b_rows:
-            mask |= yd_masks[row[x]]
+    for x, mask in _block_masks([g.row(bb) for bb in b.indices], yd_masks, range(g.order)):
         if mask.bit_count() == need:
             vertices.append(x)
             masks.append(mask)

@@ -122,7 +122,8 @@ def test_search_json_solutions_round_trip(tmp_path, capsys):
 
 
 def test_search_budget_exit3(capsys):
-    rc, _, _ = run(capsys, "search", "search-lemma-4.5", "--budget", "0.01")
+    # case1 enumerates search-lemma-4.5 in under 0.01 s; a zero budget cuts it
+    rc, _, _ = run(capsys, "search", "search-lemma-4.5", "--budget", "0")
     assert rc == 3
 
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from factorix import driver
 from factorix.catalog import Catalog, CatalogInvalid, open_catalog
 from factorix.certify import verify_certificate
 from factorix.driver import (
     RecipeInvalid, build_recipe, multifold, repro, run_refutation, run_search,
 )
+from factorix.search import case2_search
 
 
 def test_build_explicit_full_group(cat):
@@ -167,10 +171,24 @@ def test_run_search_budget_override(cat):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_search_budget_at_any_thread_count(cat, threads):
-    res = run_search(cat, "search-lemma-3.3", threads=threads, budget_s=0.5)
+    # the whole search takes about 0.6 s at 2 threads on a 2-core machine;
+    # the budget must cut it well before that
+    res = run_search(cat, "search-lemma-3.3", threads=threads, budget_s=0.1)
     assert res["budget_hit"] is True
     assert res["exhaustive"] is False and res["pass"] is False
     assert res["wall_s"] < 1.5
+
+
+def test_run_search_count_needs_exhaustive_run(cat, monkeypatch):
+    """A cut run that already found every expected solution still fails."""
+    def cut(*args, **kwargs):
+        return dataclasses.replace(case2_search(*args, **kwargs), exhaustive=False, budget_hit=True)
+
+    monkeypatch.setattr(driver, "case2_search", cut)
+    res = run_search(cat, "search-lemma-3.5")
+    assert res["checks"]["solutions"] == {"got": 8, "want": 8}
+    assert res["checks"]["space"] == {"got": 924, "want": 924}
+    assert res["budget_hit"] is True and res["pass"] is False
 
 
 def test_run_refutation_entry(cat):

@@ -239,6 +239,36 @@ def test_case2_find_first_parallel_matches_serial(cat):
     assert two.candidates_examined == one.candidates_examined == 417
 
 
+def test_case2_find_first_parallel_stops_running_chunks(cat):
+    """Chunks still running when a lower chunk finds a solution stop at
+    their next B instead of going on to their own first solution."""
+    one = catalog_case2(cat, "search-lemma-3.3", find_all=False, threads=1)
+    two = catalog_case2(cat, "search-lemma-3.3", find_all=False, threads=2)
+    key = lambda c: tuple(f.indices for f in c.factors)
+    assert [key(c) for c in two.solutions] == [key(c) for c in one.solutions]
+    assert two.candidates_examined == one.candidates_examined == 2635
+    # waiting for the running chunks took about 0.4 s on a 2-core machine
+    assert two.wall_s < 0.25
+
+
+@pytest.mark.parametrize("middle, counts", [((4,), [8, 2, 8, 0]), ((2, 2), [48, 16, 20, 0])])
+def test_case2_matches_generic_search(s4, middle, counts):
+    """Every case2 answer, and only those, among the generic engine's
+    factorizations with the same end factors and B in the transversal."""
+    a = sub(s4, "(1,2,3)")
+    reps = set(right_transversal(a))
+    key = lambda c: tuple(f.indices for f in c.factors)
+    generic = [key(c) for c in generic_search(s4, (3,) + middle + (2,), find_all=True).solutions]
+    got = []
+    # (1,2,4) is conjugate into A, so some y*D meet a single coset
+    for t in ("(1,4)(2,3)", "(1,2,3,4)", "(1,4)", "(1,2,4)"):
+        last = fs(s4, "()", t)
+        want = [f for f in generic if f[0] == a.indices and f[-1] == last.indices and set(f[1]) <= reps]
+        assert [key(c) for c in case2_search(a, last, middle).solutions] == want
+        got.append(len(want))
+    assert got == counts
+
+
 # Under ``python -O`` an ``assert`` disappears; the reversed paths must still
 # re-verify what they report.  ``reverse`` is replaced by one that corrupts.
 CORRUPT_REVERSE = """
