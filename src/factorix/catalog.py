@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any
 
-from .certify import Certificate, certificate, verify_certificate
+from .certify import Certificate, verify_certificate
 from .group import FactorSet, GroupTable, generate_group
 from .perm import parse_cycles
 from .structure import Subgroup, subgroup_from_perms

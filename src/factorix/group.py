@@ -55,7 +55,7 @@ class FactorSet:
         return len(self.indices)
 
     def __contains__(self, idx: int) -> bool:
-        return idx in set(self.indices)
+        return idx in self.indices
 
     def perms(self) -> list[Perm]:
         return [self.group.elements[i] for i in self.indices]

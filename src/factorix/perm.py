@@ -77,6 +77,8 @@ def parse_cycles(text: str, degree: int) -> Perm:
 
     Cycles are composed left to right, so non-disjoint input is accepted.
     """
+    if not isinstance(text, str):
+        raise CycleFormatError(f"permutation text is not a string: {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise CycleFormatError("empty permutation text")

@@ -12,9 +12,11 @@ A*B*x*D, rejecting x at the first overlap.
 * case2: one end is a subgroup, the other a fixed small set; B is
   enumerated with coset-mask prefix pruning, and C = {e, x} is accepted
   iff the block mask of x fills the cosets A*B*D misses.
-* case3: subgroup end, fixed set end, one enumerated middle factor; the
-  remaining factor is an exact cover of the right A-cosets by compatible
-  blocks A*B*x*D, found by the kernel in ``factorix.indset``.
+* case3: subgroup end, fixed set end, one enumerated middle factor; B is
+  kept iff x = e passes the block test with |B||D| cosets (A*B*D is then
+  distinct), and the remaining factor is an exact cover of the right
+  A-cosets by compatible blocks A*B*x*D, found by the kernel in
+  ``factorix.indset``.
 
 A generic normalized backtracker handles any pattern on small groups, and
 ``refute`` adds algebraic reductions for 2-...-2 patterns; the 2-b-c-2
@@ -29,19 +31,13 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, prod
 import multiprocessing
 import weakref
 
-from .certify import (
-    Certificate,
-    certificate,
-    divisibility_prune,
-    product_distinct,
-    reverse,
-)
+from .certify import Certificate, certificate, divisibility_prune, reverse
 from .group import FactorSet, GroupTable, bits_of, iter_bits
 from .indset import exact_covers
 from .structure import (
@@ -114,13 +110,24 @@ def _sorted_certs(group: GroupTable, raw: list[tuple[tuple[int, ...], ...]]) -> 
     return tuple(certs)
 
 
+def _report(engine: str, group: GroupTable, pattern: tuple[int, ...], deadline: _Deadline,
+            raw: list[tuple[tuple[int, ...], ...]], find_all: bool, exhaustive: bool,
+            **counts) -> SearchReport:
+    """The report every engine ends with: its raw answers verified and
+    sorted, its counters, and the wall time (verification included) and
+    budget flag of its deadline."""
+    return SearchReport(engine=engine, pattern=tuple(pattern), solutions=_sorted_certs(group, raw),
+                        exhaustive=exhaustive, find_all=find_all, wall_s=deadline.elapsed(),
+                        budget_hit=deadline.hit, **counts)
+
+
 def _reversed_certs(group: GroupTable, certs) -> tuple[Certificate, ...]:
     """Reverse the answers of a reversed task, re-verified and sorted."""
     return _sorted_certs(group, [tuple(f.indices for f in reverse(c).factors) for c in certs])
 
 
 def _right_cosets(
-    a: Subgroup, anchor: FactorSet | Subgroup | None = None,
+    a: Subgroup, anchor: FactorSet | None = None,
 ) -> tuple[list[int], list[int], list[int]]:
     """The right A-coset setup every anchored engine shares: the least
     representative of each coset, each element's coset position, and the
@@ -136,7 +143,7 @@ def _right_cosets(
     return reps, coset_of, [w for w in reps if coset_of[w] not in blocked]
 
 
-def _coset_masks(g: GroupTable, d: FactorSet | Subgroup, coset_of: list[int]) -> list[int]:
+def _coset_masks(g: GroupTable, d: FactorSet, coset_of: list[int]) -> list[int]:
     """For every element y, the mask of the right A-cosets met by y*D;
     ``coset_of`` maps each element to its coset position."""
     return [bits_of(coset_of[row[dd]] for dd in d.indices) for row in map(g.row, range(g.order))]
@@ -228,18 +235,9 @@ def case1_search(
                 if not find_all:
                     stop = True
                     break
-    solutions = _sorted_certs(g, raw)
-    return SearchReport(
-        engine="case1",
-        pattern=(len(a), b_size, c_size, len(d)),
-        candidate_space=space,
-        candidates_examined=examined,
-        solutions=solutions,
-        exhaustive=not deadline.hit and (find_all or bool(solutions)),
-        find_all=find_all,
-        wall_s=deadline.elapsed(),
-        budget_hit=deadline.hit,
-    )
+    return _report("case1", g, (len(a), b_size, c_size, len(d)), deadline, raw, find_all,
+                   not deadline.hit and (find_all or bool(raw)),
+                   candidate_space=space, candidates_examined=examined)
 
 
 # ---------------------------------------------------------------- case 2
@@ -414,19 +412,9 @@ def case2_search(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    solutions = _sorted_certs(g, raw)
-    pattern = (len(a),) + sizes + (len(last),)
-    return SearchReport(
-        engine="case2",
-        pattern=pattern,
-        candidate_space=space,
-        candidates_examined=examined,
-        solutions=solutions,
-        exhaustive=not deadline.hit and (find_all or bool(solutions)),
-        find_all=find_all,
-        wall_s=deadline.elapsed(),
-        budget_hit=deadline.hit,
-    )
+    return _report("case2", g, (len(a),) + sizes + (len(last),), deadline, raw, find_all,
+                   not deadline.hit and (find_all or bool(raw)),
+                   candidate_space=space, candidates_examined=examined)
 
 
 def case2_search_reversed(
@@ -447,18 +435,11 @@ def case2_search_reversed(
         budget_s=budget_s,
         threads=threads,
     )
-    solutions = _reversed_certs(d.group, report.solutions)
-    return SearchReport(
-        engine="case2",
+    return replace(
+        report,
         pattern=(len(first),) + tuple(middle_sizes) + (len(d),),
-        candidate_space=report.candidate_space,
-        candidates_examined=report.candidates_examined,
-        solutions=solutions,
-        exhaustive=report.exhaustive,
-        find_all=find_all,
-        wall_s=report.wall_s,
+        solutions=_reversed_certs(d.group, report.solutions),
         notes="ran as the reversed task " + str(report.pattern),
-        budget_hit=report.budget_hit,
     )
 
 
@@ -499,9 +480,12 @@ def case3_search(
     budget_s: float | None = None,
     max_solutions: int | None = None,
 ) -> SearchReport:
-    """Enumerate B over a punctured transversal; for each B satisfying the
-    block-size condition, hunt a C of compatible elements whose blocks
-    A*B*x*D exactly cover the right A-cosets, so |A||B||C||D| = |G|."""
+    """Enumerate B over a punctured transversal; for each B with A*B*D
+    distinct, hunt a C of compatible elements whose blocks A*B*x*D exactly
+    cover the right A-cosets, so |A||B||C||D| = |G|.  A*B*D is distinct
+    exactly when x = e passes the block test (``_block_masks``) with |B||D|
+    cosets: the masks of b*D, b in B, are pairwise disjoint with |D| bits
+    each."""
     g = a.group
     if d.group is not g or not d.contains_identity():
         raise AnchorInvalid("last-factor anchor must contain the identity")
@@ -514,7 +498,7 @@ def case3_search(
     deadline = _Deadline(budget_s)
     reps, coset_of, w_free = _right_cosets(a, d)
     yd_masks = _coset_masks(g, d, coset_of)
-    a_members = a.members
+    need = b_size * len(d)
     space = comb(len(w_free), b_size - 1)
 
     examined = 0
@@ -525,10 +509,8 @@ def case3_search(
             break
         examined += 1
         b_set = FactorSet(g, tuple(sorted((0,) + b_extra)))
-        abd = product_distinct(a_members, b_set)
-        if abd is not None:
-            abd = product_distinct(abd, d)
-        if abd is None:
+        b_rows = [g.row(bb) for bb in b_set.indices]
+        if not any(mask.bit_count() == need for _, mask in _block_masks(b_rows, yd_masks, (0,))):
             continue
         builds += 1
         graph = case3_build_graph(b_set, d, yd_masks)
@@ -540,20 +522,10 @@ def case3_search(
             raw.append((a.indices, b_set.indices, c_set, d.indices))
         if raw and (not find_all or max_solutions is not None and len(raw) >= max_solutions):
             break
-    solutions = _sorted_certs(g, raw)
     capped = max_solutions is not None and len(raw) >= max_solutions
-    return SearchReport(
-        engine="case3",
-        pattern=(len(a), b_size, c_size, len(d)),
-        candidate_space=space,
-        candidates_examined=examined,
-        solutions=solutions,
-        exhaustive=not deadline.hit and not capped,
-        find_all=find_all,
-        graph_builds=builds,
-        wall_s=deadline.elapsed(),
-        budget_hit=deadline.hit,
-    )
+    return _report("case3", g, (len(a), b_size, c_size, len(d)), deadline, raw, find_all,
+                   not deadline.hit and not capped,
+                   candidate_space=space, candidates_examined=examined, graph_builds=builds)
 
 
 # ---------------------------------------------------------------- generic
@@ -622,37 +594,16 @@ def generic_search(
         return grow((0,), prefix_mask, 1)
 
     place(0, (0,), 1)
-    solutions = _sorted_certs(group, raw)
-    return SearchReport(
-        engine="generic",
-        pattern=tuple(pattern),
-        candidate_space=0,
-        candidates_examined=nodes,
-        solutions=solutions,
-        exhaustive=not deadline.hit,
-        find_all=find_all,
-        wall_s=deadline.elapsed(),
-        notes="normalized backtracking",
-        budget_hit=deadline.hit,
-    )
+    return _report("generic", group, pattern, deadline, raw, find_all, not deadline.hit,
+                   candidate_space=0, candidates_examined=nodes, notes="normalized backtracking")
 
 
 # ------------------------------------------------------------- refutation
 
 
 def conjugacy_class(group: GroupTable, x: int) -> tuple[int, ...]:
-    seen = 1 << x
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for gidx in range(group.order):
-                z = group.conjugate_idx(y, gidx)
-                if not seen >> z & 1:
-                    seen |= 1 << z
-                    nxt.append(z)
-        frontier = nxt
-    return tuple(iter_bits(seen))
+    """The class of x, sorted: {g^-1 x g : g in G} is already all of it."""
+    return tuple(sorted({group.conjugate_idx(x, g) for g in range(group.order)}))
 
 
 def involution_class_reps(group: GroupTable) -> list[int]:
@@ -735,7 +686,6 @@ def _scan_block_cover(
     coset representatives containing e, a factorization exists iff c blocks
     of the compatibility graph exactly cover the right A-cosets."""
     a = subgroup_from_indices(group, (0, a_rep))
-    a_members = a.members
     reps, coset_of, _ = _right_cosets(a)
     examined = 0
     for d in _involutions(group):
@@ -745,9 +695,9 @@ def _scan_block_cover(
             if deadline.expired():
                 return "UNKNOWN", examined, None
             examined += 1
+            # B is e plus least representatives of distinct right A-cosets,
+            # so A*B is always distinct
             b_set = FactorSet(group, tuple(sorted((0,) + extra)))
-            if product_distinct(a_members, b_set) is None:
-                continue
             graph = case3_build_graph(b_set, d_set, yd_masks)
             for combo in exact_covers(graph.masks, len(reps), c_size, limit=1):
                 c_set = tuple(sorted(graph.vertices[i] for i in combo))

@@ -19,36 +19,22 @@ class NotNormal(ValueError):
 
 
 @dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of a tabulated group, held as its sorted member indices."""
-
-    group: GroupTable
-    indices: tuple[int, ...]
-
-    @property
-    def members(self) -> FactorSet:
-        return FactorSet(self.group, self.indices)
-
-    @property
-    def bits(self) -> int:
-        return bits_of(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, idx: int) -> bool:
-        return bool(self.bits >> idx & 1)
+class Subgroup(FactorSet):
+    """A factor set that is closed under products: a subgroup of its
+    tabulated group.  It adds no fields, so every set operation (``bits``,
+    membership, ``inverse``) is the ``FactorSet`` one.  Build it with the
+    constructors below, which check or generate the closure."""
 
     def generators(self) -> list[Perm]:
         """A small generating set, grown greedily over the member list."""
         g = self.group
-        have = [0]
+        have = {0}
         gens: list[int] = []
         for x in self.indices:
-            if x in set(have):
+            if x in have:
                 continue
             gens.append(x)
-            have = g.closure_indices(gens)
+            have = set(g.closure_indices(gens))
             if len(have) == len(self.indices):
                 break
         return [g.elements[i] for i in gens]

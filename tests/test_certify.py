@@ -12,8 +12,8 @@ from factorix.certify import (
     to_dict, verify_certificate,
 )
 from factorix.perm import parse_cycles
-from factorix.structure import quotient_group, subgroup_from_perms
-from helpers import cert_from, fs, group_from
+from factorix.structure import conjugate_intersection_trivial, quotient_group, subgroup_from_perms
+from helpers import all_subgroups, cert_from, fs, group_from
 
 
 def sub(group, *texts):
@@ -186,6 +186,17 @@ def test_compose_sandwich_rejects_meeting_conjugates(s3):
     other = sub(s3, "(1,3)")
     with pytest.raises(ConditionFailed):
         compose_sandwich(c2, other)
+
+
+def test_compose_sandwich_fails_exactly_when_conjugates_meet(s4):
+    subgroups = all_subgroups(s4)
+    for a in subgroups:
+        for b in subgroups:
+            if conjugate_intersection_trivial(a, b):
+                assert compose_sandwich(a, b).verify().valid
+            else:
+                with pytest.raises(ConditionFailed):
+                    compose_sandwich(a, b)
 
 
 def test_divisibility_prune(s3):

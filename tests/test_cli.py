@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
 
@@ -243,3 +244,26 @@ def test_repro_unknown_scope_exit2(capsys):
     rc, _, err = run(capsys, "repro", "nothing-matches-this")
     assert rc == 2
     assert "matches no repro entries" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"group": {"degree": 3, "generators": [1]}, "pattern": [1], "factors": [["()"]]},
+    {"group": {"degree": 3, "generators": ["(1,2)"]}, "pattern": [2], "factors": [[1, 2]]},
+    {"group": {"degree": 3, "generators": ["(1,2)"]}, "pattern": [1], "factors": [5]},
+], ids=["int-generator", "int-elements", "int-factor"])
+def test_verify_wrong_value_types_exit2(tmp_path, capsys, data):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(data))
+    rc, _, err = run(capsys, "verify", str(target))
+    assert rc == 2
+    assert err.startswith("factorix:")
+
+
+def test_catalog_int_generator_exit2(tmp_path, capsys, cat):
+    data = copy.deepcopy(cat.data)
+    data["groups"]["group-s4"]["generators"][0] = 1
+    target = tmp_path / "catalog.json"
+    target.write_text(json.dumps(data))
+    rc, _, err = run(capsys, "multifold", "group-s4", "--catalog", str(target))
+    assert rc == 2
+    assert err.startswith("factorix:")

@@ -1,0 +1,41 @@
+"""Every name a factorix module imports is used in that module."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "factorix"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        hint = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
+            # a string annotation such as field: "GroupTable" is code too
+            hint_tree = ast.parse(hint.value, mode="eval")
+            used.update(n.id for n in ast.walk(hint_tree) if isinstance(n, ast.Name))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_detects_an_unused_import():
+    source = 'import os\nfrom a import b, c, d\nb()\ne: "d" = "c"\n'
+    assert unused_imports(source) == ["c (line 2)", "os (line 1)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

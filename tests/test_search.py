@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from factorix.certify import certificate
+from factorix.certify import certificate, product_distinct
 from factorix.group import FactorSet
 from factorix.perm import parse_cycles
 from factorix.search import (
@@ -358,6 +358,23 @@ def test_case3_anchor_validation(a4):
         case3_search(a, fs(a4, "()", "(1,2,3)"), 1, 2)
 
 
+@pytest.mark.parametrize("group_name, a_gens, d_texts, b_size, c_size, builds", [
+    ("a4", ("(1,2,3)",), ("()", "(1,2)(3,4)"), 2, 1, 2),
+    ("s4", ("(1,2)",), ("()", "(1,2,3,4)"), 3, 2, 28),
+    ("a5", ("(1,2,3,4,5)",), ("()", "(1,2)(3,4)"), 3, 2, 40),
+])
+def test_case3_builds_match_product_reference(request, group_name, a_gens, d_texts, b_size, c_size, builds):
+    """A graph is built for exactly the B with A*B*D distinct."""
+    g = request.getfixturevalue(group_name)
+    a = sub(g, *a_gens)
+    d = fs(g, *d_texts)
+    reference = 0
+    for extra in combinations(punctured(a, d.indices), b_size - 1):
+        ab = product_distinct(a, FactorSet(g, (0,) + extra))
+        reference += ab is not None and product_distinct(ab, d) is not None
+    assert case3_search(a, d, b_size, c_size, find_all=True).graph_builds == reference == builds
+
+
 # ---------------------------------------------------------------- generic
 
 
@@ -404,6 +421,13 @@ def test_conjugacy_helpers(s3, s4, a4):
     assert len(transpositions) == 3
     assert len(involution_class_reps(s4)) == 2
     assert len(involution_class_reps(a4)) == 1
+
+
+def test_conjugacy_class_sizes(s4, a5):
+    for group, sizes in ((a5, [1, 12, 12, 15, 20]), (s4, [1, 3, 6, 6, 8])):
+        classes = {conjugacy_class(group, x) for x in range(group.order)}
+        assert sorted(map(len, classes)) == sizes
+        assert sorted(x for cls in classes for x in cls) == list(range(group.order))
 
 
 def test_refute_parity_found():

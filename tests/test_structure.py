@@ -10,6 +10,7 @@ from factorix.structure import (
     quotient_group, right_transversal, subgroup_from_indices,
     subgroup_from_perms, subgroup_generated,
 )
+from helpers import all_subgroups
 
 
 def sub(group, *texts):
@@ -103,6 +104,15 @@ def test_double_cosets_not_full_size(s3):
 def test_conjugate_intersection(a5, s3):
     assert conjugate_intersection_trivial(sub(a5, "(1,2)(3,4)"), sub(a5, "(1,2,3,4,5)"))
     assert not conjugate_intersection_trivial(sub(s3, "(1,2)"), sub(s3, "(1,3)"))
+
+
+def test_conjugate_intersection_is_full_size_double_cosets(s4):
+    # |AxB| = |A||B| / |A ∩ xBx⁻¹|, so the two tests agree on every pair
+    subgroups = all_subgroups(s4)
+    assert len(subgroups) == 30
+    for a in subgroups:
+        for b in subgroups:
+            assert conjugate_intersection_trivial(a, b) == double_cosets(a, b).all_full_size
 
 
 def test_is_normal(a4, s3):
