@@ -50,15 +50,17 @@ class Catalog:
     def ids(self, section: str) -> list[str]:
         return sorted(self.data.get(section, {}))
 
+    def _entry(self, section: str, entry_id: str, **types: type | tuple[type, ...]) -> dict:
+        try:
+            spec = self.data[section][entry_id]
+        except KeyError:
+            raise UnknownId(entry_id) from None
+        return _shaped(spec, entry_id, **types)
+
     def group(self, group_id: str) -> GroupTable:
         if group_id not in self._groups:
-            try:
-                spec = self.data["groups"][group_id]
-            except KeyError:
-                raise UnknownId(group_id) from None
-            degree = int(spec["degree"])
-            gens = [parse_cycles(t, degree) for t in spec["generators"]]
-            table = generate_group([p for p in gens if not p.is_identity()], degree=degree)
+            spec = self._entry("groups", group_id, order=int)
+            table = _generated(spec, group_id)
             if table.order != spec["order"]:
                 raise CatalogInvalid(
                     f"{group_id}: generators give order {table.order}, "
@@ -69,10 +71,7 @@ class Catalog:
 
     def subgroup(self, sub_id: str) -> Subgroup:
         if sub_id not in self._subgroups:
-            try:
-                spec = self.data["subgroups"][sub_id]
-            except KeyError:
-                raise UnknownId(sub_id) from None
+            spec = self._entry("subgroups", sub_id, group=str, generators=list, order=int)
             parent = self.group(spec["group"])
             gens = [parse_cycles(t, parent.degree) for t in spec["generators"]]
             sub = subgroup_from_perms(parent, gens)
@@ -85,6 +84,8 @@ class Catalog:
         return self._subgroups[sub_id]
 
     def factor_set(self, group: GroupTable, texts: list[str]) -> FactorSet:
+        if not isinstance(texts, list):
+            raise CatalogInvalid(f"a factor must be a list of elements, got {type(texts).__name__}")
         indices = []
         for t in texts:
             indices.append(group.index_of(parse_cycles(t, group.degree)))
@@ -92,21 +93,11 @@ class Catalog:
             raise CatalogInvalid(f"repeated element in factor {texts}")
         return FactorSet(group, tuple(sorted(indices)))
 
-    def _cert_table(self, spec: dict) -> GroupTable:
-        g = spec["group"]
-        if isinstance(g, str):
-            return self.group(g)
-        degree = int(g["degree"])
-        gens = [parse_cycles(t, degree) for t in g["generators"]]
-        return generate_group([p for p in gens if not p.is_identity()], degree=degree)
-
     def certificate(self, cert_id: str) -> Certificate:
         if cert_id not in self._certs:
-            try:
-                spec = self.data["certificates"][cert_id]
-            except KeyError:
-                raise UnknownId(cert_id) from None
-            table = self._cert_table(spec)
+            spec = self._entry("certificates", cert_id, group=(str, dict), pattern=list, factors=list)
+            g = spec["group"]
+            table = self.group(g) if isinstance(g, str) else _generated(g, cert_id)
             factors = [self.factor_set(table, texts) for texts in spec["factors"]]
             cert = Certificate(table, tuple(factors))
             if list(cert.pattern) != list(spec["pattern"]):
@@ -161,6 +152,27 @@ class Catalog:
         if section == "refutations":
             return self.refutation(entry_id)
         return self.multifold_table(entry_id)
+
+
+def _shaped(spec: Any, where: str, **types: type | tuple[type, ...]) -> dict:
+    """``spec`` itself, once checked to be an object whose named keys hold
+    values of the given types; a catalog of another shape is invalid."""
+    if not isinstance(spec, dict):
+        raise CatalogInvalid(f"{where}: entry must be an object, got {type(spec).__name__}")
+    for key, kind in types.items():
+        if key not in spec:
+            raise CatalogInvalid(f"{where}: entry has no {key!r}")
+        if not isinstance(spec[key], kind):
+            raise CatalogInvalid(f"{where}: {key!r} has the wrong type {type(spec[key]).__name__}")
+    return spec
+
+
+def _generated(spec: Any, where: str) -> GroupTable:
+    """The group a ``{degree, generators}`` spec generates: the one reader
+    of that shape, for group entries and inline certificate groups."""
+    _shaped(spec, where, degree=int, generators=list)
+    gens = [parse_cycles(t, spec["degree"]) for t in spec["generators"]]
+    return generate_group([p for p in gens if not p.is_identity()], degree=spec["degree"])
 
 
 def default_path() -> str:

@@ -2,16 +2,18 @@
 
 Three anchored engines cover the productive configurations.  All three
 test candidates on masks of right A-cosets: ``_coset_masks`` gives, once
-per search, the cosets met by y*D for every element y, and
-``_block_masks`` ORs them over the rows of B into the mask of the block
-A*B*x*D, rejecting x at the first overlap.
+per search, the cosets met by y*D for every element y.  Case1 and case3
+decide x with ``_block_masks``, which ORs them over the rows of B into the
+mask of the block A*B*x*D, rejecting x at the first overlap; case2 reads
+all its accepted x at once off element bitsets (``_meet_sets``).
 
 * case1: both end factors are subgroups, middle factors are enumerated
   over punctured transversals; A*B*C*D = G iff the block masks of the
   elements of C meet every coset.
 * case2: one end is a subgroup, the other a fixed small set; B is
   enumerated with coset-mask prefix pruning, and C = {e, x} is accepted
-  iff the block mask of x fills the cosets A*B*D misses.
+  iff the blocks b*x*D, b in B, meet every coset A*B*D misses: x is a bit
+  of the AND, over those cosets, of the element sets that meet them.
 * case3: subgroup end, fixed set end, one enumerated middle factor; B is
   kept iff x = e passes the block test with |B||D| cosets (A*B*D is then
   distinct), and the remaining factor is an exact cover of the right
@@ -30,11 +32,10 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, prod
-import multiprocessing
+from typing import Any
 import weakref
 
 from .certify import Certificate, certificate, divisibility_prune, reverse
@@ -243,14 +244,30 @@ def case1_search(
 # ---------------------------------------------------------------- case 2
 
 
+def _meet_sets(g: GroupTable, yd_masks: list[int], cosets: int, ws: Iterable[int]) -> dict[int, list[int]]:
+    """For each w in ``ws`` and each of the ``cosets`` right A-coset
+    positions p, the element bitset T[w][p] of the x with w*x*D meeting
+    coset p.  It is the set of w^-1*y over the y whose mask ``yd_masks[y]``
+    holds p, so one list of those y per p (|G||D| entries in all) serves
+    every w."""
+    met: list[list[int]] = [[] for _ in range(cosets)]
+    for y, mask in enumerate(yd_masks):
+        for p in iter_bits(mask):
+            met[p].append(y)
+    return {w: [bits_of(map(g.row(g.inv[w]).__getitem__, ys)) for ys in met] for w in ws}
+
+
 @dataclass(frozen=True)
 class _Case2:
     """What every case2 chunk reads, built once per search: the anchors,
     the middle sizes, the punctured transversal, each element's coset
     position, the mask of the cosets y*D meets for each element y
-    (``_coset_masks``), the deadline's absolute ``time.monotonic()`` limit
-    (None without a budget) and, in a forked find-first run, the shared
-    lowest index of a chunk that found a solution (None otherwise)."""
+    (``_coset_masks``), for a (b, 2) search the element bitsets T[w][p] of
+    ``_meet_sets`` for w in {e} and the transversal (empty otherwise), the
+    deadline's absolute ``time.monotonic()`` limit (None without a budget)
+    and, in a forked find-first run, the shared lowest index of a chunk
+    that found a solution (a fork context's ``Value("q")``; None
+    otherwise)."""
 
     a: Subgroup
     last: FactorSet
@@ -258,9 +275,10 @@ class _Case2:
     w_free: list[int]
     coset_of: list[int]
     yd_masks: list[int]
+    meet: dict[int, list[int]]
     find_all: bool
     limit: float | None
-    first_hit: multiprocessing.sharedctypes.Synchronized | None
+    first_hit: Any
 
 
 # The context of a forked case2 worker, appended by the pool initializer in
@@ -285,6 +303,7 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
     c_size = ctx.sizes[1] if len(ctx.sizes) == 2 else None
     w_free = ctx.w_free
     yd = ctx.yd_masks
+    meet = ctx.meet
     d_size = len(last)
     full = (1 << (g.order // len(ctx.a))) - 1
     # the C candidates outside A*B*D, counted per completed B
@@ -301,7 +320,7 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
         factors.append(last.indices)
         raw.append(tuple(factors))
 
-    def leaf(b_extra: tuple[int, ...], mask: int) -> bool:
+    def leaf(b_extra: tuple[int, ...], mask: int, union: list[int]) -> bool:
         nonlocal examined, budget_hit
         if ctx.limit is not None and time.monotonic() > ctx.limit:
             budget_hit = True
@@ -314,22 +333,26 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
                 emit(b_extra, ())
                 return not ctx.find_all
             return False
-        # C = {e, x}: the blocks of A*B*x*D must fill the cosets A*B*D
-        # misses; this also rejects every x inside A*B*D
+        # C = {e, x}: the blocks b*x*D must meet every coset A*B*D misses
         examined += outside
-        b_rows = [g.row(w) for w in (0,) + b_extra]
-        for x, m in _block_masks(b_rows, yd, range(g.order), mask):
-            if m == full:
-                emit(b_extra, (x,))
-                if not ctx.find_all:
-                    coset_of = ctx.coset_of
-                    examined -= sum(1 for y in range(x + 1, g.order) if not mask >> coset_of[y] & 1)
-                    return True
+        accepted = -1
+        for p in iter_bits(full & ~mask):
+            accepted &= union[p]
+            if not accepted:
+                return False
+        if not ctx.find_all:
+            x = next(iter_bits(accepted))
+            emit(b_extra, (x,))
+            coset_of = ctx.coset_of
+            examined -= sum(1 for y in range(x + 1, g.order) if not mask >> coset_of[y] & 1)
+            return True
+        for x in iter_bits(accepted):
+            emit(b_extra, (x,))
         return False
 
-    def extend(b_extra: tuple[int, ...], mask: int, start: int) -> bool:
+    def extend(b_extra: tuple[int, ...], mask: int, union: list[int], start: int) -> bool:
         if len(b_extra) == b_size - 1:
-            return leaf(b_extra, mask)
+            return leaf(b_extra, mask, union)
         lo = start if b_extra else first_index
         hi = first_index + 1 if not b_extra else len(w_free)
         for i in range(lo, hi):
@@ -337,11 +360,12 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
             step = yd[w]
             if step & mask or step.bit_count() != d_size:
                 continue
-            if extend(b_extra + (w,), mask | step, i + 1):
+            grown = [u | t for u, t in zip(union, meet[w])] if meet else union
+            if extend(b_extra + (w,), mask | step, grown, i + 1):
                 return True
         return False
 
-    extend((), yd[0], first_index)
+    extend((), yd[0], meet.get(0, []), first_index)
     if raw and ctx.first_hit is not None:
         with ctx.first_hit.get_lock():
             ctx.first_hit.value = min(ctx.first_hit.value, first_index)
@@ -359,10 +383,19 @@ def case2_search(
     """Enumerate G = A*B*D or A*B*C*D with subgroup A first and the set D
     anchored last.  B runs over punctured-transversal subsets with coset
     prefix pruning: w joins B only when w*D meets |D| cosets that A*B*D
-    does not yet meet.  C = {e, x} is decided by the block mask of x
-    (``_block_masks``, shared with ``case3_build_graph`` and case1): the
-    cosets met by b*x*D, b in B, must be pairwise disjoint and fill the
-    cosets A*B*D misses.  Every x outside A*B*D counts as examined.
+    does not yet meet.  Every x outside A*B*D counts as examined.
+
+    C = {e, x} is read off element bitsets.  T[w][p] (``_meet_sets``) holds
+    the x with w*x*D meeting right A-coset p; the recursion carries U[p],
+    the OR of T[b][p] over the b chosen so far, and at a completed B the
+    accepted x are the bits of the AND of U[p] over the cosets p in M, the
+    set of cosets A*B*D misses.  This is sound: |C| = 2 gives
+    |G/A| = 2|B||D|, and A*B*D meets |B||D| cosets, so |M| = |B||D|.  The
+    blocks b*x*D, b in B, meet at most |B||D| cosets counted with
+    multiplicity; if they meet every coset in M, each meets |D| cosets,
+    they are pairwise disjoint and they miss A*B*D, so A*B*C*D = G.  The
+    converse is plain, so the AND holds exactly the x that pass
+    ``_block_masks`` with B's rows, base A*B*D and a full union.
 
     The work is one chunk per least non-identity B element.  The chunks run
     in this process, or in ``threads`` forked worker processes when there
@@ -383,11 +416,18 @@ def case2_search(
     deadline = _Deadline(budget_s)
     _, coset_of, w_free = _right_cosets(a, last)
     chunks = range(len(w_free) if sizes[0] > 1 else 1)
-    fork = multiprocessing.get_context("fork") if threads > 1 and len(chunks) > 1 else None
+    fork = None
+    if threads > 1 and len(chunks) > 1:
+        # only a forked run pays for importing the pool
+        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
+
+        fork = multiprocessing.get_context("fork")
     # a serial run stops at the first chunk with a solution by itself
     first_hit = fork.Value("q", len(chunks)) if fork and not find_all else None
-    ctx = _Case2(a, last, sizes, w_free, coset_of, _coset_masks(g, last, coset_of), find_all,
-                 deadline.limit, first_hit)
+    yd_masks = _coset_masks(g, last, coset_of)
+    meet = _meet_sets(g, yd_masks, g.order // len(a), [0] + w_free) if len(sizes) == 2 else {}
+    ctx = _Case2(a, last, sizes, w_free, coset_of, yd_masks, meet, find_all, deadline.limit, first_hit)
 
     b_size = sizes[0]
     space = comb(len(w_free), b_size - 1)

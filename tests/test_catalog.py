@@ -165,3 +165,26 @@ def test_search_and_refutation_entries(cat):
     assert spec["expected_space"] == 810
     assert cat.refutation("refute-a4-232")["expected"] == "NONE"
     assert cat.multifold_table("group-s4") == {"classes": {}}
+
+
+@pytest.mark.parametrize("section, entry_id, key, value, resolve", [
+    ("groups", "g", "degree", "3", "group"),
+    ("groups", "g", "generators", "(1,2)", "group"),
+    ("subgroups", "h", "group", ["g"], "subgroup"),
+    ("subgroups", "h", "generators", 5, "subgroup"),
+    ("certificates", "c-good", "group", 3, "certificate"),
+    ("certificates", "c-good", "pattern", 5, "certificate"),
+    ("certificates", "c-good", "factors", [["()", "(1,2)"], 7], "certificate"),
+])
+def test_wrong_value_types_are_invalid(section, entry_id, key, value, resolve):
+    bad = mini_cat()
+    bad.data[section][entry_id][key] = value
+    with pytest.raises(CatalogInvalid):
+        getattr(bad, resolve)(entry_id)
+
+
+def test_inline_certificate_group_shape_checked():
+    bad = mini_cat()
+    bad.data["certificates"]["c-good"]["group"] = {"generators": ["(1,2)", "(1,2,3)"]}
+    with pytest.raises(CatalogInvalid, match="'degree'"):
+        bad.certificate("c-good")

@@ -267,3 +267,30 @@ def test_catalog_int_generator_exit2(tmp_path, capsys, cat):
     rc, _, err = run(capsys, "multifold", "group-s4", "--catalog", str(target))
     assert rc == 2
     assert err.startswith("factorix:")
+
+
+def _drop(section, entry_id, key):
+    return lambda data: data[section][entry_id].pop(key)
+
+
+def _string(section, entry_id):
+    return lambda data: data[section].__setitem__(entry_id, "not an object")
+
+
+@pytest.mark.parametrize("mutate, argv", [
+    (_drop("groups", "group-s4", "degree"), ["multifold", "group-s4"]),
+    (_string("groups", "group-s4"), ["multifold", "group-s4"]),
+    (_drop("groups", "group-s4", "order"), ["multifold", "group-s4"]),
+    (_drop("certificates", "lemma-4.2", "pattern"), ["verify", "lemma-4.2"]),
+    (_string("certificates", "lemma-4.2"), ["verify", "lemma-4.2"]),
+    (_drop("subgroups", "a5-c2", "order"), ["repro", "all"]),
+], ids=["group-no-degree", "group-string", "group-no-order", "cert-no-pattern", "cert-string",
+        "subgroup-no-order"])
+def test_catalog_wrong_entry_shape_exit2(tmp_path, capsys, cat, mutate, argv):
+    data = copy.deepcopy(cat.data)
+    mutate(data)
+    target = tmp_path / "catalog.json"
+    target.write_text(json.dumps(data))
+    rc, _, err = run(capsys, *argv, "--catalog", str(target))
+    assert rc == 2
+    assert err.startswith("factorix:")

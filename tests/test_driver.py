@@ -171,7 +171,7 @@ def test_run_search_budget_override(cat):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_search_budget_at_any_thread_count(cat, threads):
-    # the whole search takes about 0.6 s at 2 threads on a 2-core machine;
+    # the whole search takes about 0.2-0.4 s at 2 threads on a 2-core machine;
     # the budget must cut it well before that
     res = run_search(cat, "search-lemma-3.3", threads=threads, budget_s=0.1)
     assert res["budget_hit"] is True

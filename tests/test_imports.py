@@ -1,7 +1,11 @@
-"""Every name a factorix module imports is used in that module."""
+"""Every name a factorix module imports is used in that module, and the
+CLI imports no module that only some commands need."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,13 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_the_fork_pool():
+    """Only a forked case2 run needs the process pool, so a plain command
+    such as ``factorix verify`` does not pay for importing it."""
+    probe = "import sys, factorix.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # this test's factorix
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

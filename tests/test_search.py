@@ -10,12 +10,12 @@ from itertools import combinations
 import pytest
 
 from factorix.certify import certificate, product_distinct
-from factorix.group import FactorSet
+from factorix.group import FactorSet, iter_bits
 from factorix.perm import parse_cycles
 from factorix.search import (
-    AnchorInvalid, case1_search, case2_search, case2_search_reversed,
-    case3_search, conjugacy_class, generic_search, involution_class_reps,
-    refute,
+    AnchorInvalid, _block_masks, _coset_masks, _meet_sets, _right_cosets,
+    case1_search, case2_search, case2_search_reversed, case3_search,
+    conjugacy_class, generic_search, involution_class_reps, refute,
 )
 from factorix.structure import (
     coset_index_map, left_transversal, right_transversal, subgroup_from_perms,
@@ -224,6 +224,7 @@ def catalog_case2(cat, search_id, **kwargs):
     ("search-lemma-4.7", True, 30780, 288),
     ("search-lemma-4.7", False, 6, 1),
     ("search-lemma-3.3", False, 2635, 1),
+    ("search-lemma-3.3", True, 3890880, 24),
 ])
 def test_case2_counters_pinned(cat, threads, search_id, find_all, examined, solutions):
     rep = catalog_case2(cat, search_id, find_all=find_all, threads=threads)
@@ -267,6 +268,95 @@ def test_case2_matches_generic_search(s4, middle, counts):
         assert [key(c) for c in case2_search(a, last, middle).solutions] == want
         got.append(len(want))
     assert got == counts
+
+
+def order3_outside(g, a):
+    """The least element of order 3 outside A: with D = {e, t}, some y*D
+    then lies inside one right A-coset iff t is conjugate into A."""
+    return next(t for t in range(g.order) if g.element_orders[t] == 3 and t not in a.indices)
+
+
+LEAF_ANCHORS = {
+    # name: (group fixture or catalog group, A, D, b) with |A|*b*2*|D| = |G|
+    "s4-c3-double-transposition": ("s4", ("(1,2,3)",), ("()", "(1,4)(2,3)"), 2),
+    "s4-c3-4-cycle": ("s4", ("(1,2,3)",), ("()", "(1,2,3,4)"), 2),
+    "s4-c3-transposition": ("s4", ("(1,2,3)",), ("()", "(1,4)"), 2),
+    # (1,2,4) is conjugate into A, so some y*D meet a single coset
+    "s4-c3-conjugate-into-a": ("s4", ("(1,2,3)",), ("()", "(1,2,4)"), 2),
+    "a5-c5": ("a5", ("(1,2,3,4,5)",), ("()", "(1,2)(3,4)"), 3),
+    "a5-c3": ("a5", ("(1,2,3)",), ("()", "(1,2)(3,4)"), 5),
+    "a5-c5-conjugate-into-a": ("a5", ("(1,2,3,4,5)",), ("()", "(1,2,3,5,4)"), 3),
+    "168-q21": ("g168-q21", None, ("()", "(2,7)(3,4,5,6)"), 2),
+    "168-q21-conjugate-into-a": ("g168-q21", None, None, 2),
+    # D is the subgroup generated by the 7-cycle, taken as a set
+    "168-h6-sylow7": ("g168-h6", None, ("(1,2,3,5,6,7,4)",), 2),
+}
+
+
+@pytest.fixture(params=sorted(LEAF_ANCHORS))
+def leaf_anchor(request, cat):
+    """(A, D, b, yd_masks, w_free) for one (b, 2) anchor of LEAF_ANCHORS."""
+    source, a_gens, d_texts, b_size = LEAF_ANCHORS[request.param]
+    if a_gens is None:
+        a = cat.subgroup(source)
+        g = a.group
+    else:
+        g = request.getfixturevalue(source)
+        a = sub(g, *a_gens)
+    if d_texts is None:
+        d = FactorSet(g, (0, order3_outside(g, a)))
+    elif len(d_texts) == 1:
+        d = FactorSet(g, tuple(g.closure_indices(fs(g, *d_texts).indices)))
+    else:
+        d = fs(g, *d_texts)
+    assert len(a) * b_size * 2 * len(d) == g.order
+    _, coset_of, w_free = _right_cosets(a, d)
+    return a, d, b_size, _coset_masks(g, d, coset_of), w_free
+
+
+def test_meet_sets_match_brute_force(leaf_anchor):
+    a, d, _, yd, w_free = leaf_anchor
+    g = a.group
+    cosets = g.order // len(a)
+    meet = _meet_sets(g, yd, cosets, [0] + w_free)
+    assert sorted(meet) == sorted([0] + w_free)
+    for w, sets in meet.items():
+        row = g.row(w)
+        assert sets == [sum(1 << x for x in range(g.order) if yd[row[x]] >> p & 1) for p in range(cosets)]
+
+
+def test_case2_leaf_accepts_what_block_masks_accepts(leaf_anchor):
+    """For every completed B, the x read off the AND of U[p] over the cosets
+    A*B*D misses (U[p] the OR of T[b][p] over b in B) are the x whose block
+    masks are disjoint and fill G; the engine emits exactly those."""
+    a, d, b_size, yd, w_free = leaf_anchor
+    g = a.group
+    cosets = g.order // len(a)
+    full = (1 << cosets) - 1
+    meet = _meet_sets(g, yd, cosets, [0] + w_free)
+    want = set()
+    completed = 0
+    for extra in combinations(w_free, b_size - 1):
+        b = (0,) + extra
+        mask = 0
+        for w in b:
+            if yd[w] & mask or yd[w].bit_count() != len(d):
+                break
+            mask |= yd[w]
+        else:
+            completed += 1
+            ref = {x for x, m in _block_masks([g.row(w) for w in b], yd, range(g.order), mask) if m == full}
+            accepted = -1
+            for p in iter_bits(full & ~mask):
+                union = 0
+                for w in b:
+                    union |= meet[w][p]
+                accepted &= union
+            assert set(iter_bits(accepted)) == ref
+            want.update((tuple(sorted(b)), x) for x in ref)
+    assert completed > 0
+    got = {(c.factors[1].indices, c.factors[2].indices[1]) for c in case2_search(a, d, (b_size, 2)).solutions}
+    assert got == want
 
 
 # Under ``python -O`` an ``assert`` disappears; the reversed paths must still
