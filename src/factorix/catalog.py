@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any
 
-from .certify import Certificate, verify_certificate
+from .certify import (
+    Certificate, MalformedCertificate, from_dict, read_factor, read_group_spec, read_perms,
+    shaped, verify_certificate,
+)
 from .group import FactorSet, GroupTable, generate_group
-from .perm import parse_cycles
 from .structure import Subgroup, subgroup_from_perms
 
 ENV_VAR = "FACTORIX_CATALOG"
@@ -27,10 +30,53 @@ class UnknownId(KeyError):
 
 
 class CatalogInvalid(ValueError):
-    """The catalog asserts something the group arithmetic refutes."""
+    """The catalog asserts something the group arithmetic refutes, or one of
+    its entries does not have the shape its reader needs."""
 
 
 _SECTIONS = ("groups", "subgroups", "certificates", "searches", "refutations", "multifold")
+
+# The keys an entry must hold, with their types: exactly those the driver
+# reads without a default.  Certificates and group specs are shape-checked
+# by their readers in ``certify``.
+_KEYS: dict[str, dict[str, Any]] = {
+    "groups": {"order": int},
+    "subgroups": {"group": str, "generators": list, "order": int},
+    "searches": {"group": str, "engine": str, "first": (str, list), "last": (str, list)},
+    "refutations": {"group": str, "pattern": list, "expected": str},
+}
+_ENGINE_KEYS: dict[str, dict[str, Any]] = {
+    "case1": {"middle": list},
+    "case2": {"middle": list},
+    "case2-reversed": {"middle": list},
+    "case3": {"b_size": int, "c_size": int},
+}
+_RECIPE_KEYS: dict[str, dict[str, Any]] = {
+    "explicit": {"certificate": str},
+    "lift": {"certificate": str, "subgroup": str},
+    "sandwich": {"a": str, "b": str},
+    "refine": {"base": dict, "position": int},
+}
+
+
+@contextmanager
+def _named(where: str):
+    """Report a malformed entry as ``CatalogInvalid``, naming it."""
+    try:
+        yield
+    except MalformedCertificate as exc:
+        raise CatalogInvalid(f"{where}: {exc}") from None
+
+
+def _recipe(recipe: Any) -> None:
+    """Shape-check a multifold recipe and, for ``refine``, its base; an
+    unknown type is left to ``driver.build_recipe``."""
+    kind = shaped(recipe, "recipe", type=str)["type"]
+    shaped(recipe, f"{kind} recipe", **_RECIPE_KEYS.get(kind, {}))
+    if kind == "refine":
+        parts = {"certificate": str} if "certificate" in recipe else {"parts": list}
+        shaped(recipe, "refine recipe", **parts)
+        _recipe(recipe["base"])
 
 
 @dataclass
@@ -50,17 +96,32 @@ class Catalog:
     def ids(self, section: str) -> list[str]:
         return sorted(self.data.get(section, {}))
 
-    def _entry(self, section: str, entry_id: str, **types: type | tuple[type, ...]) -> dict:
+    def _entry(self, section: str, entry_id: str) -> dict:
+        """An entry looked up and shape-checked: its section's keys, a
+        search's engine keys, a multifold table's recipes and discard."""
         try:
             spec = self.data[section][entry_id]
         except KeyError:
             raise UnknownId(entry_id) from None
-        return _shaped(spec, entry_id, **types)
+        with _named(entry_id):
+            shaped(spec, "entry", **_KEYS.get(section, {}))
+            if section == "searches":
+                if spec["engine"] not in _ENGINE_KEYS:
+                    raise MalformedCertificate(f"unknown search engine {spec['engine']!r}")
+                shaped(spec, f"{spec['engine']} search", **_ENGINE_KEYS[spec["engine"]])
+            if section == "multifold":
+                shaped(spec, "multifold table", **{k: dict for k in ("classes", "discard") if k in spec})
+                for recipe in spec.get("classes", {}).values():
+                    _recipe(recipe)
+                if spec.get("discard"):
+                    shaped(spec["discard"], "discard", subgroup=str, prime=int)
+        return spec
 
     def group(self, group_id: str) -> GroupTable:
         if group_id not in self._groups:
-            spec = self._entry("groups", group_id, order=int)
-            table = _generated(spec, group_id)
+            spec = self._entry("groups", group_id)
+            with _named(group_id):
+                table = generate_group(*read_group_spec(spec))
             if table.order != spec["order"]:
                 raise CatalogInvalid(
                     f"{group_id}: generators give order {table.order}, "
@@ -71,9 +132,10 @@ class Catalog:
 
     def subgroup(self, sub_id: str) -> Subgroup:
         if sub_id not in self._subgroups:
-            spec = self._entry("subgroups", sub_id, group=str, generators=list, order=int)
+            spec = self._entry("subgroups", sub_id)
             parent = self.group(spec["group"])
-            gens = [parse_cycles(t, parent.degree) for t in spec["generators"]]
+            with _named(sub_id):
+                gens = read_perms(spec["generators"], parent.degree)
             sub = subgroup_from_perms(parent, gens)
             if len(sub) != spec["order"]:
                 raise CatalogInvalid(
@@ -84,27 +146,15 @@ class Catalog:
         return self._subgroups[sub_id]
 
     def factor_set(self, group: GroupTable, texts: list[str]) -> FactorSet:
-        if not isinstance(texts, list):
-            raise CatalogInvalid(f"a factor must be a list of elements, got {type(texts).__name__}")
-        indices = []
-        for t in texts:
-            indices.append(group.index_of(parse_cycles(t, group.degree)))
-        if len(set(indices)) != len(indices):
-            raise CatalogInvalid(f"repeated element in factor {texts}")
-        return FactorSet(group, tuple(sorted(indices)))
+        with _named("inline factor"):
+            perms = read_factor(texts, group.degree)
+        return FactorSet(group, tuple(group.index_of(p) for p in perms))
 
     def certificate(self, cert_id: str) -> Certificate:
         if cert_id not in self._certs:
-            spec = self._entry("certificates", cert_id, group=(str, dict), pattern=list, factors=list)
-            g = spec["group"]
-            table = self.group(g) if isinstance(g, str) else _generated(g, cert_id)
-            factors = [self.factor_set(table, texts) for texts in spec["factors"]]
-            cert = Certificate(table, tuple(factors))
-            if list(cert.pattern) != list(spec["pattern"]):
-                raise CatalogInvalid(
-                    f"{cert_id}: factors have pattern {cert.pattern}, "
-                    f"entry says {tuple(spec['pattern'])}"
-                )
+            spec = self._entry("certificates", cert_id)
+            with _named(cert_id):
+                cert = from_dict(spec, self.group)
             verdict = verify_certificate(cert)
             if not verdict.valid:
                 raise CatalogInvalid(f"{cert_id}: invalid certificate: {verdict.message}")
@@ -112,22 +162,23 @@ class Catalog:
         return self._certs[cert_id]
 
     def search(self, search_id: str) -> dict:
-        try:
-            return self.data["searches"][search_id]
-        except KeyError:
-            raise UnknownId(search_id) from None
+        return self._entry("searches", search_id)
 
     def refutation(self, ref_id: str) -> dict:
-        try:
-            return self.data["refutations"][ref_id]
-        except KeyError:
-            raise UnknownId(ref_id) from None
+        return self._entry("refutations", ref_id)
 
     def multifold_table(self, group_id: str) -> dict:
-        try:
-            return self.data["multifold"][group_id]
-        except KeyError:
-            raise UnknownId(group_id) from None
+        return self._entry("multifold", group_id)
+
+    def double_cosets(self) -> list[dict]:
+        """The double-coset claims, each shape-checked."""
+        entries = self.data.get("double_cosets", [])
+        with _named("double_cosets"):
+            if not isinstance(entries, list):
+                raise MalformedCertificate(f"expected a list, got {type(entries).__name__}")
+            for entry in entries:
+                shaped(entry, "entry", a=str, b=str, count=int)
+        return entries
 
     def anchor(self, group: GroupTable, ref) -> Subgroup | FactorSet:
         """A search anchor is either a subgroup id or an inline element list."""
@@ -136,43 +187,13 @@ class Catalog:
             if sub.group is not group:
                 raise CatalogInvalid(f"anchor {ref} belongs to a different group")
             return sub
-        return self.factor_set(group, list(ref))
+        return self.factor_set(group, ref)
 
     def load_entry(self, entry_id: str):
         """Resolve any id to its checked object (spec'd single entry point)."""
         section = self.section_of(entry_id)
-        if section == "groups":
-            return self.group(entry_id)
-        if section == "subgroups":
-            return self.subgroup(entry_id)
-        if section == "certificates":
-            return self.certificate(entry_id)
-        if section == "searches":
-            return self.search(entry_id)
-        if section == "refutations":
-            return self.refutation(entry_id)
-        return self.multifold_table(entry_id)
-
-
-def _shaped(spec: Any, where: str, **types: type | tuple[type, ...]) -> dict:
-    """``spec`` itself, once checked to be an object whose named keys hold
-    values of the given types; a catalog of another shape is invalid."""
-    if not isinstance(spec, dict):
-        raise CatalogInvalid(f"{where}: entry must be an object, got {type(spec).__name__}")
-    for key, kind in types.items():
-        if key not in spec:
-            raise CatalogInvalid(f"{where}: entry has no {key!r}")
-        if not isinstance(spec[key], kind):
-            raise CatalogInvalid(f"{where}: {key!r} has the wrong type {type(spec[key]).__name__}")
-    return spec
-
-
-def _generated(spec: Any, where: str) -> GroupTable:
-    """The group a ``{degree, generators}`` spec generates: the one reader
-    of that shape, for group entries and inline certificate groups."""
-    _shaped(spec, where, degree=int, generators=list)
-    gens = [parse_cycles(t, spec["degree"]) for t in spec["generators"]]
-    return generate_group([p for p in gens if not p.is_identity()], degree=spec["degree"])
+        resolve = {"groups": self.group, "subgroups": self.subgroup, "certificates": self.certificate}
+        return resolve[section](entry_id) if section in resolve else self._entry(section, entry_id)
 
 
 def default_path() -> str:

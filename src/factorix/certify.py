@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .group import FactorSet, GroupTable, generate_group, iter_bits
-from .perm import parse_cycles
+from .perm import MAX_DEGREE, Perm, parse_cycles
 from .structure import (
     Subgroup,
     double_cosets,
@@ -22,7 +23,8 @@ from .structure import (
 
 
 class MalformedCertificate(ValueError):
-    pass
+    """Certificate JSON, or a catalog entry, does not have the shape its
+    reader needs."""
 
 
 class ConditionFailed(ValueError):
@@ -281,32 +283,73 @@ def to_dict(cert: Certificate) -> dict:
     }
 
 
-def from_dict(data: dict) -> Certificate:
+def shaped(spec: Any, what: str, **types: type | tuple[type, ...]) -> dict:
+    """``spec`` itself, once checked to be an object whose named keys hold
+    values of the given types; every reader of untrusted JSON checks its
+    objects with it."""
+    if not isinstance(spec, dict):
+        raise MalformedCertificate(f"{what} must be an object, got {type(spec).__name__}")
+    for key, kind in types.items():
+        if key not in spec:
+            raise MalformedCertificate(f"{what} has no {key!r}")
+        if not isinstance(spec[key], kind):
+            raise MalformedCertificate(f"{what}: {key!r} has the wrong type {type(spec[key]).__name__}")
+    return spec
+
+
+def read_perms(texts: Any, degree: int) -> list[Perm]:
+    """The permutations a list of cycle strings names, at ``degree``."""
+    if not isinstance(texts, list):
+        raise MalformedCertificate(f"expected a list of cycle strings, got {type(texts).__name__}")
     try:
-        degree = int(data["group"]["degree"])
-        gen_texts = list(data["group"]["generators"])
-        pattern = [int(m) for m in data["pattern"]]
-        factor_texts = list(data["factors"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedCertificate(f"bad certificate structure: {exc}") from exc
-    gens = [parse_cycles(t, degree) for t in gen_texts]
-    table = generate_group([p for p in gens if not p.is_identity()], degree=degree)
-    if len(factor_texts) != len(pattern):
+        return [parse_cycles(t, degree) for t in texts]
+    except ValueError as exc:
+        raise MalformedCertificate(str(exc)) from None
+
+
+def read_factor(texts: Any, degree: int) -> list[Perm]:
+    """The distinct permutations a factor's list of cycle strings names: the
+    one reader of a factor, before any table places them."""
+    perms = read_perms(texts, degree)
+    if len({p.images for p in perms}) != len(perms):
+        raise MalformedCertificate(f"repeated element in factor {texts}")
+    return perms
+
+
+def read_group_spec(spec: Any) -> tuple[list[Perm], int]:
+    """The non-identity generators and the degree of a ``{degree,
+    generators}`` spec, the one reader of that shape; ``generate_group``
+    takes them as they are."""
+    shaped(spec, "group", degree=int, generators=list)
+    degree = spec["degree"]
+    if not 1 <= degree <= MAX_DEGREE:
+        raise MalformedCertificate(f"group degree {degree} outside 1..{MAX_DEGREE}")
+    return [p for p in read_perms(spec["generators"], degree) if not p.is_identity()], degree
+
+
+def from_dict(data: Any, group_of: Callable[[str], GroupTable] | None = None) -> Certificate:
+    """The one reader of a ``{group, pattern, factors}`` certificate object.
+
+    Every shape fact (types, one declared size per factor, equal to the
+    number of elements listed, cycle syntax, no element listed twice) is
+    checked before the group is tabulated; only membership waits for the
+    table.  The group is a ``{degree, generators}`` spec or, where
+    ``group_of`` resolves ids (the catalog's), a group id."""
+    shaped(data, "certificate", group=(dict, str) if group_of else dict, pattern=list, factors=list)
+    pattern, texts = data["pattern"], data["factors"]
+    if len(pattern) != len(texts):
         raise MalformedCertificate("pattern and factor list lengths differ")
-    index_sets = []
-    for m, texts in zip(pattern, factor_texts):
-        if not isinstance(texts, list):
-            raise MalformedCertificate(f"factor is not a list: {texts!r}")
-        perms = [parse_cycles(t, degree) for t in texts]
-        indices = tuple(sorted({table.index_of(p) for p in perms}))
-        if len(indices) != len(perms):
-            raise MalformedCertificate("repeated element inside a factor")
-        if len(indices) != m:
-            raise MalformedCertificate(
-                f"declared factor size {m} but {len(indices)} elements given"
-            )
-        index_sets.append(indices)
-    return certificate(table, index_sets)
+    table = group_of(data["group"]) if isinstance(data["group"], str) else None
+    gens, degree = read_group_spec(data["group"]) if table is None else ([], table.degree)
+    factors = [read_factor(t, degree) for t in texts]
+    for m, f in zip(pattern, factors):
+        if not isinstance(m, int):
+            raise MalformedCertificate(f"declared factor size {m!r} is not an integer")
+        if len(f) != m:
+            raise MalformedCertificate(f"declared factor size {m} but {len(f)} elements given")
+    if table is None:
+        table = generate_group(gens, degree)
+    return certificate(table, [[table.index_of(p) for p in f] for f in factors])
 
 
 def dump_json(cert: Certificate) -> str:

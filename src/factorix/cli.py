@@ -113,18 +113,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
     pattern = tuple(int(m) for m in args.pattern.split(","))
     rec = refute(group, pattern, budget_s=args.budget,
                  cap_generic=args.cap_generic, strategy=args.strategy)
-    payload = {
-        "command": "refute",
-        "version": __version__,
-        "group": args.target,
-        "pattern": list(rec.pattern),
-        "verdict": rec.verdict,
-        "strategy": rec.strategy,
-        "instances": rec.instances_examined,
-        "wall_s": round(rec.wall_s, 3),
-    }
-    if rec.notes:
-        payload["notes"] = rec.notes
+    payload = {"command": "refute", "version": __version__, "group": args.target, **rec.as_dict()}
     if rec.certificate is not None:
         payload["certificate"] = to_dict(rec.certificate)
     if args.json:

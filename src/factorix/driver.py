@@ -66,7 +66,7 @@ def build_recipe(cat: Catalog, group: GroupTable, recipe: dict) -> Certificate:
         )
     if kind == "refine":
         base = build_recipe(cat, group, recipe["base"])
-        position = int(recipe["position"])
+        position = recipe["position"]
         if "certificate" in recipe:
             embedded = _embed(group, cat.certificate(recipe["certificate"]))
             parts = [FactorSet(group, f) for f in embedded]
@@ -151,7 +151,7 @@ def multifold(
     if discard:
         sub = cat.subgroup(discard["subgroup"])
         p = group.order // len(sub)
-        if p != int(discard["prime"]):
+        if p != discard["prime"]:
             raise CatalogInvalid(f"discard subgroup index is {p}, not {discard['prime']}")
         annotated = prime_index_discard(plan, p, subgroup_multifold_asserted=True)
         discard_note = (
@@ -206,30 +206,16 @@ def run_search(
     engine = spec["engine"]
     budget = budget_s if budget_s is not None else spec.get("budget_s")
     start = time.monotonic()
+    first, last = cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"])
     if engine == "case1":
-        rep = case1_search(
-            cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"]),
-            tuple(spec["middle"]), find_all=True, budget_s=budget,
-        )
-    elif engine == "case2":
-        rep = case2_search(
-            cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"]),
-            tuple(spec["middle"]), find_all=True, budget_s=budget, threads=threads,
-        )
-    elif engine == "case2-reversed":
-        rep = case2_search_reversed(
-            cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"]),
-            tuple(spec["middle"]), find_all=True, budget_s=budget, threads=threads,
-        )
+        rep = case1_search(first, last, tuple(spec["middle"]), find_all=True, budget_s=budget)
     elif engine == "case3":
-        rep = case3_search(
-            cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"]),
-            int(spec["b_size"]), int(spec["c_size"]),
-            find_all=find_all, budget_s=budget,
-            max_solutions=None if find_all else 1,
-        )
+        rep = case3_search(first, last, spec["b_size"], spec["c_size"], find_all=find_all,
+                           budget_s=budget, max_solutions=None if find_all else 1)
     else:
-        raise CatalogInvalid(f"unknown search engine {engine!r} in {search_id}")
+        engine_search = case2_search if engine == "case2" else case2_search_reversed
+        rep = engine_search(first, last, tuple(spec["middle"]), find_all=True, budget_s=budget,
+                            threads=threads)
     wall = time.monotonic() - start
 
     checks = {}
@@ -270,20 +256,8 @@ def run_refutation(cat: Catalog, ref_id: str, budget_s: float | None = None) -> 
         group, tuple(spec["pattern"]), budget_s=budget,
         strategy=spec.get("strategy", "auto"),
     )
-    ok = rec.verdict == spec["expected"]
-    out = {
-        "id": ref_id,
-        "pattern": list(rec.pattern),
-        "verdict": rec.verdict,
-        "expected": spec["expected"],
-        "strategy": rec.strategy,
-        "instances": rec.instances_examined,
-        "pass": bool(ok),
-        "wall_s": round(rec.wall_s, 3),
-    }
-    if rec.notes:
-        out["notes"] = rec.notes
-    return out
+    return {"id": ref_id, **rec.as_dict(), "expected": spec["expected"],
+            "pass": rec.verdict == spec["expected"]}
 
 
 def _scope_matches(scope: str, row_id: str) -> bool:
@@ -331,7 +305,7 @@ def repro(cat: Catalog, scope: str = "all", threads: int = 1) -> dict:
             ok, detail = False, str(exc)
         emit(row_id, ok, detail, time.monotonic() - start)
 
-    for entry in cat.data.get("double_cosets", []):
+    for entry in cat.double_cosets():
         row_id = f"double-cosets-{entry['a']}-{entry['b']}"
         if not _scope_matches(scope, row_id):
             continue

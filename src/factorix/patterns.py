@@ -143,17 +143,3 @@ def prime_index_discard(plan: PatternPlan, p: int, *, subgroup_multifold_asserte
         else:
             kept.append(w)
     return PatternPlan(plan.n, kept, dropped)
-
-
-def enumerate_ordered_factorizations(n: int, k: int) -> list[tuple[int, ...]]:
-    """Ordered k-tuples of integers > 1 with product n, lexicographic."""
-    if k == 0:
-        return [()] if n == 1 else []
-    if k == 1:
-        return [(n,)] if n > 1 else []
-    out = []
-    for d in range(2, n + 1):
-        if n % d == 0:
-            for tail in enumerate_ordered_factorizations(n // d, k - 1):
-                out.append((d,) + tail)
-    return sorted(out)

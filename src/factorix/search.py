@@ -84,6 +84,14 @@ class RefutationRecord:
     wall_s: float = 0.0
     notes: str = ""
 
+    def as_dict(self) -> dict:
+        """The fields of a refutation report, for the catalog and ad hoc rows."""
+        out = {"pattern": list(self.pattern), "verdict": self.verdict, "strategy": self.strategy,
+               "instances": self.instances_examined, "wall_s": round(self.wall_s, 3)}
+        if self.notes:
+            out["notes"] = self.notes
+        return out
+
 
 class _Deadline:
     def __init__(self, budget_s: float | None):
@@ -112,14 +120,15 @@ def _sorted_certs(group: GroupTable, raw: list[tuple[tuple[int, ...], ...]]) -> 
 
 
 def _report(engine: str, group: GroupTable, pattern: tuple[int, ...], deadline: _Deadline,
-            raw: list[tuple[tuple[int, ...], ...]], find_all: bool, exhaustive: bool,
+            raw: list[tuple[tuple[int, ...], ...]], find_all: bool, capped: bool = False,
             **counts) -> SearchReport:
     """The report every engine ends with: its raw answers verified and
     sorted, its counters, and the wall time (verification included) and
-    budget flag of its deadline."""
+    budget flag of its deadline.  It is exhaustive unless the budget ran
+    out or ``capped`` (a solution cap ended it before its space did)."""
     return SearchReport(engine=engine, pattern=tuple(pattern), solutions=_sorted_certs(group, raw),
-                        exhaustive=exhaustive, find_all=find_all, wall_s=deadline.elapsed(),
-                        budget_hit=deadline.hit, **counts)
+                        exhaustive=not deadline.hit and not capped, find_all=find_all,
+                        wall_s=deadline.elapsed(), budget_hit=deadline.hit, **counts)
 
 
 def _reversed_certs(group: GroupTable, certs) -> tuple[Certificate, ...]:
@@ -237,7 +246,6 @@ def case1_search(
                     stop = True
                     break
     return _report("case1", g, (len(a), b_size, c_size, len(d)), deadline, raw, find_all,
-                   not deadline.hit and (find_all or bool(raw)),
                    candidate_space=space, candidates_examined=examined)
 
 
@@ -453,7 +461,6 @@ def case2_search(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return _report("case2", g, (len(a),) + sizes + (len(last),), deadline, raw, find_all,
-                   not deadline.hit and (find_all or bool(raw)),
                    candidate_space=space, candidates_examined=examined)
 
 
@@ -562,9 +569,8 @@ def case3_search(
             raw.append((a.indices, b_set.indices, c_set, d.indices))
         if raw and (not find_all or max_solutions is not None and len(raw) >= max_solutions):
             break
-    capped = max_solutions is not None and len(raw) >= max_solutions
     return _report("case3", g, (len(a), b_size, c_size, len(d)), deadline, raw, find_all,
-                   not deadline.hit and not capped,
+                   capped=max_solutions is not None and len(raw) >= max_solutions,
                    candidate_space=space, candidates_examined=examined, graph_builds=builds)
 
 
@@ -634,7 +640,7 @@ def generic_search(
         return grow((0,), prefix_mask, 1)
 
     place(0, (0,), 1)
-    return _report("generic", group, pattern, deadline, raw, find_all, not deadline.hit,
+    return _report("generic", group, pattern, deadline, raw, find_all,
                    candidate_space=0, candidates_examined=nodes, notes="normalized backtracking")
 
 

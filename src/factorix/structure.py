@@ -25,27 +25,6 @@ class Subgroup(FactorSet):
     membership, ``inverse``) is the ``FactorSet`` one.  Build it with the
     constructors below, which check or generate the closure."""
 
-    def generators(self) -> list[Perm]:
-        """A small generating set, grown greedily over the member list."""
-        g = self.group
-        have = {0}
-        gens: list[int] = []
-        for x in self.indices:
-            if x in have:
-                continue
-            gens.append(x)
-            have = set(g.closure_indices(gens))
-            if len(have) == len(self.indices):
-                break
-        return [g.elements[i] for i in gens]
-
-    def standalone_table(self) -> GroupTable:
-        """Re-tabulate this subgroup as a group in its own right."""
-        gens = self.generators()
-        if not gens:
-            gens = [self.group.elements[0]]
-        return generate_group(gens)
-
 
 def subgroup_from_indices(group: GroupTable, indices) -> Subgroup:
     idx = tuple(sorted(set(indices)))

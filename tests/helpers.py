@@ -5,7 +5,7 @@ import json
 
 from factorix.certify import Certificate, to_dict
 from factorix.group import FactorSet, GroupTable, generate_group
-from factorix.perm import parse_cycles
+from factorix.perm import Perm, parse_cycles
 from factorix.structure import Subgroup
 
 
@@ -33,3 +33,37 @@ def all_subgroups(group: GroupTable) -> list[Subgroup]:
     groups like S4, whose subgroups are all 2-generated), least first."""
     found = {tuple(group.closure_indices([x, y])) for x in range(group.order) for y in range(x, group.order)}
     return [Subgroup(group, idx) for idx in sorted(found, key=lambda idx: (len(idx), idx))]
+
+
+def subgroup_generators(h: Subgroup) -> list[Perm]:
+    """A small generating set of ``h``, grown greedily over its member list."""
+    g = h.group
+    have = {0}
+    gens: list[int] = []
+    for x in h.indices:
+        if x in have:
+            continue
+        gens.append(x)
+        have = set(g.closure_indices(gens))
+        if len(have) == len(h.indices):
+            break
+    return [g.elements[i] for i in gens]
+
+
+def standalone_table(h: Subgroup) -> GroupTable:
+    """``h`` re-tabulated as a group in its own right."""
+    return generate_group(subgroup_generators(h) or [h.group.elements[0]])
+
+
+def enumerate_ordered_factorizations(n: int, k: int) -> list[tuple[int, ...]]:
+    """Ordered k-tuples of integers > 1 with product n, lexicographic."""
+    if k == 0:
+        return [()] if n == 1 else []
+    if k == 1:
+        return [(n,)] if n > 1 else []
+    out = []
+    for d in range(2, n + 1):
+        if n % d == 0:
+            for tail in enumerate_ordered_factorizations(n // d, k - 1):
+                out.append((d,) + tail)
+    return sorted(out)

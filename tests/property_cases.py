@@ -17,7 +17,7 @@ from factorix.certify import (
     reverse, strip_singletons, to_dict,
 )
 from factorix.group import GroupTable, generate_group
-from factorix.patterns import enumerate_ordered_factorizations, enumerate_words
+from factorix.patterns import enumerate_words
 from factorix.perm import parse_cycles
 from factorix.search import generic_search, refute
 from factorix.structure import (
@@ -25,7 +25,7 @@ from factorix.structure import (
     subgroup_from_indices,
 )
 
-from helpers import canonical
+from helpers import canonical, enumerate_ordered_factorizations, standalone_table
 
 
 def _table(degree: int, *cycle_texts: str) -> GroupTable:
@@ -78,7 +78,7 @@ def chain_certificate(table: GroupTable, rng: random.Random, depth: int = 0) -> 
     h = random_proper_subgroup(table, rng)
     if h is None:
         return certificate(table, [tuple(range(table.order))])
-    inner = chain_certificate(h.standalone_table(), rng, depth + 1)
+    inner = chain_certificate(standalone_table(h), rng, depth + 1)
     return lift_by_transversal(inner, h, side=rng.choice(("left", "right")))
 
 

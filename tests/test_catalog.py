@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import json
 import shutil
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from factorix.catalog import (
     Catalog, CatalogInvalid, UnknownId, default_path, load, open_catalog,
 )
-from factorix.certify import Certificate
+from factorix.certify import Certificate, load_json, to_dict
 from factorix.group import FactorSet, GroupTable
 from factorix.structure import Subgroup
 
@@ -188,3 +190,17 @@ def test_inline_certificate_group_shape_checked():
     bad.data["certificates"]["c-good"]["group"] = {"generators": ["(1,2)", "(1,2,3)"]}
     with pytest.raises(CatalogInvalid, match="'degree'"):
         bad.certificate("c-good")
+
+
+@pytest.mark.parametrize("cert_id", ["lemma-3.5", "word-g168s3-23"])
+def test_catalog_and_load_json_read_alike(cat, cert_id):
+    """A catalog certificate, and the same document given to ``load_json``
+    with its group id replaced by that group's spec, are one certificate."""
+    spec = copy.deepcopy(cat.data["certificates"][cert_id])
+    if isinstance(spec["group"], str):
+        spec["group"] = {k: cat.data["groups"][spec["group"]][k] for k in ("degree", "generators")}
+    ours = cat.certificate(cert_id)
+    theirs = load_json(json.dumps(spec))
+    assert theirs.group.elements == ours.group.elements
+    assert [f.indices for f in theirs.factors] == [f.indices for f in ours.factors]
+    assert to_dict(theirs) == to_dict(ours)

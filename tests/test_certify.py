@@ -13,7 +13,7 @@ from factorix.certify import (
 )
 from factorix.perm import parse_cycles
 from factorix.structure import conjugate_intersection_trivial, quotient_group, subgroup_from_perms
-from helpers import all_subgroups, cert_from, fs, group_from
+from helpers import all_subgroups, cert_from, fs, group_from, standalone_table
 
 
 def sub(group, *texts):
@@ -129,7 +129,7 @@ def test_strip_singletons(c6):
 
 def test_lift_by_transversal(s3):
     a3 = sub(s3, "(1,2,3)")
-    inner = cert_from(a3.standalone_table(), ("()", "(1,2,3)", "(1,3,2)"))
+    inner = cert_from(standalone_table(a3), ("()", "(1,2,3)", "(1,3,2)"))
     lifted = lift_by_transversal(inner, a3, side="right")
     assert lifted.pattern == (3, 2)
     assert lifted.verify().valid
@@ -167,7 +167,7 @@ def test_compose_sandwich(s4):
     cert = compose_sandwich(v4, c3)
     assert cert.pattern == (4, 2, 3)
     assert cert.verify().valid
-    inner = cert_from(v4.standalone_table(), ("()", "(1,2)(3,4)"), ("()", "(1,3)(2,4)"))
+    inner = cert_from(standalone_table(v4), ("()", "(1,2)(3,4)"), ("()", "(1,3)(2,4)"))
     finer = compose_sandwich(v4, c3, a_cert=inner)
     assert finer.pattern == (2, 2, 2, 3)
     assert finer.verify().valid
@@ -245,3 +245,32 @@ def test_from_dict_malformed(c6):
         from_dict(lengths)
     with pytest.raises(MalformedCertificate):
         load_json("not json at all {")
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for k in keys:
+            data = data[k]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("group", "degree"), "6"),
+    _set(("group", "degree"), 17),
+    _set(("pattern",), [2.0, 3]),
+    _set(("factors", 1, 1), "(1,3,5"),
+    _set(("factors", 1, 2), "(3,5,1)(6,2,4)"),
+    _set(("factors",), [["()", R], ["()", R2, R4], ["()"]]),
+], ids=["string-degree", "degree-17", "float-size", "cycle-syntax", "repeat-by-images", "lengths"])
+def test_from_dict_rejects_malformed_before_table(c6, monkeypatch, edit):
+    data = to_dict(cert_from(c6, ("()", R), ("()", R2, R4)))
+    edit(data)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr("factorix.certify.generate_group", no_table)
+    with pytest.raises(MalformedCertificate):
+        from_dict(data)

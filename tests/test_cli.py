@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import time
 
 import pytest
 
@@ -284,8 +285,16 @@ def _string(section, entry_id):
     (_drop("certificates", "lemma-4.2", "pattern"), ["verify", "lemma-4.2"]),
     (_string("certificates", "lemma-4.2"), ["verify", "lemma-4.2"]),
     (_drop("subgroups", "a5-c2", "order"), ["repro", "all"]),
+    (_drop("searches", "search-lemma-3.5", "middle"), ["search", "search-lemma-3.5"]),
+    (_drop("refutations", "refute-a4-232", "pattern"), ["refute", "refute-a4-232"]),
+    (_string("multifold", "group-s4"), ["multifold", "group-s4"]),
+    (lambda data: data["multifold"]["group-168"]["classes"]["2,2,2,3,7"].pop("subgroup"),
+     ["multifold", "group-168"]),
+    (lambda data: data["multifold"]["group-168"]["discard"].pop("prime"), ["multifold", "group-168"]),
+    (lambda data: data["double_cosets"][0].pop("b"), ["repro", "double-cosets"]),
 ], ids=["group-no-degree", "group-string", "group-no-order", "cert-no-pattern", "cert-string",
-        "subgroup-no-order"])
+        "subgroup-no-order", "search-no-middle", "refutation-no-pattern", "multifold-string",
+        "lift-no-subgroup", "discard-no-prime", "double-coset-no-b"])
 def test_catalog_wrong_entry_shape_exit2(tmp_path, capsys, cat, mutate, argv):
     data = copy.deepcopy(cat.data)
     mutate(data)
@@ -293,4 +302,20 @@ def test_catalog_wrong_entry_shape_exit2(tmp_path, capsys, cat, mutate, argv):
     target.write_text(json.dumps(data))
     rc, _, err = run(capsys, *argv, "--catalog", str(target))
     assert rc == 2
-    assert err.startswith("factorix:")
+    assert err.startswith("factorix:") and err.count("\n") == 1
+
+
+def test_verify_declared_size_rejected_before_table(tmp_path, capsys, monkeypatch):
+    """A short document naming S7 (order 5040) fails on its declared size
+    without tabulating the group."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr("factorix.certify.generate_group", no_table)
+    target = tmp_path / "s7.json"
+    target.write_text('{"group":{"degree":7,"generators":["(1,2)","(1,2,3,4,5,6,7)"]},'
+                      '"pattern":[5040],"factors":[["()"]]}')
+    start = time.monotonic()
+    rc, _, err = run(capsys, "verify", str(target))
+    assert rc == 2 and time.monotonic() - start < 2.0
+    assert err == "factorix: declared factor size 5040 but 1 elements given\n"

@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 
 from factorix.patterns import (
-    class_representative, enumerate_ordered_factorizations,
-    enumerate_reversal_classes, enumerate_words, omega_reduction,
+    class_representative, enumerate_reversal_classes, enumerate_words, omega_reduction,
     palindrome_count, pattern_plan, prime_factors, prime_index_discard,
     reversal_class_count, word_count,
 )
+from helpers import enumerate_ordered_factorizations
 
 
 def test_prime_factors():

@@ -82,6 +82,18 @@ def test_case1_empty_space_is_exhaustive(s4):
     assert rep.exhaustive
 
 
+def test_find_first_without_solution_is_exhaustive(s4):
+    """A find-first search that finds nothing within its budget covered its
+    whole space; only a budget or a solution cap makes a report partial."""
+    rep = case1_search(sub(s4, "(1,2)"), sub(s4, "(3,4)"), (3, 2), find_all=False)
+    assert rep.solution_count == 0 and not rep.budget_hit
+    assert rep.candidates_examined == rep.candidate_space == 450
+    assert rep.exhaustive
+    rep = case2_search(sub(s4, "(1,2)"), fs(s4, "()", "(3,4)"), (6,), find_all=False)
+    assert rep.solution_count == 0 and not rep.budget_hit
+    assert rep.exhaustive
+
+
 def test_case1_find_first(s4):
     rep = case1_search(sub(s4, "(1,2)"), sub(s4, "(1,2)(3,4)"), (3, 2), find_all=False)
     assert rep.solution_count == 1

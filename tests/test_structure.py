@@ -10,7 +10,7 @@ from factorix.structure import (
     quotient_group, right_transversal, subgroup_from_indices,
     subgroup_from_perms, subgroup_generated,
 )
-from helpers import all_subgroups
+from helpers import all_subgroups, standalone_table, subgroup_generators
 
 
 def sub(group, *texts):
@@ -36,13 +36,13 @@ def test_subgroup_from_indices_rejects_junk(s3):
 def test_subgroup_generators_regenerate(s4):
     d8 = sub(s4, "(1,2,3,4)", "(1,3)")
     assert len(d8) == 8
-    gens = d8.generators()
+    gens = subgroup_generators(d8)
     assert len(subgroup_from_perms(s4, gens)) == len(d8)
 
 
 def test_standalone_table(s4):
     c4 = sub(s4, "(1,2,3,4)")
-    table = c4.standalone_table()
+    table = standalone_table(c4)
     assert table.order == 4
     assert sorted(table.element_orders) == [1, 2, 4, 4]
 
