@@ -57,6 +57,22 @@ _RECIPE_KEYS: dict[str, dict[str, Any]] = {
     "sandwich": {"a": str, "b": str},
     "refine": {"base": dict, "position": int},
 }
+# The keys the driver reads only where present, or with a default, with
+# their types.
+_NUMBER = (int, float)
+_ID_OR_NULL = (str, type(None))
+_OPTIONAL_KEYS: dict[str, dict[str, Any]] = {
+    "searches": {"budget_s": _NUMBER, "expected_solutions": int, "expected_space": int,
+                 "min_solutions": int, "max_builds": int},
+    "refutations": {"budget_s": _NUMBER, "strategy": str},
+    "multifold": {"classes": dict},
+}
+_RECIPE_OPTIONAL_KEYS: dict[str, dict[str, Any]] = {
+    "lift": {"side": str},
+    "sandwich": {"a_certificate": _ID_OR_NULL, "b_certificate": _ID_OR_NULL},
+}
+# The required list of factor sizes in each section, which must hold integers.
+_SIZES = {"searches": "middle", "refutations": "pattern"}
 
 
 @contextmanager
@@ -68,11 +84,18 @@ def _named(where: str):
         raise CatalogInvalid(f"{where}: {exc}") from None
 
 
+def _typed(spec: Any, what: str, required: dict[str, Any], optional: dict[str, Any]) -> None:
+    """Shape-check an object: each ``required`` key present with its type,
+    and each ``optional`` key of its type where present."""
+    shaped(spec, what, **required)
+    shaped(spec, what, **{k: t for k, t in optional.items() if k in spec})
+
+
 def _recipe(recipe: Any) -> None:
     """Shape-check a multifold recipe and, for ``refine``, its base; an
     unknown type is left to ``driver.build_recipe``."""
     kind = shaped(recipe, "recipe", type=str)["type"]
-    shaped(recipe, f"{kind} recipe", **_RECIPE_KEYS.get(kind, {}))
+    _typed(recipe, f"{kind} recipe", _RECIPE_KEYS.get(kind, {}), _RECIPE_OPTIONAL_KEYS.get(kind, {}))
     if kind == "refine":
         parts = {"certificate": str} if "certificate" in recipe else {"parts": list}
         shaped(recipe, "refine recipe", **parts)
@@ -98,23 +121,24 @@ class Catalog:
 
     def _entry(self, section: str, entry_id: str) -> dict:
         """An entry looked up and shape-checked: its section's keys, a
-        search's engine keys, a multifold table's recipes and discard."""
+        search's engine keys, its factor sizes and a multifold table's
+        recipes."""
         try:
             spec = self.data[section][entry_id]
         except KeyError:
             raise UnknownId(entry_id) from None
         with _named(entry_id):
-            shaped(spec, "entry", **_KEYS.get(section, {}))
+            _typed(spec, "entry", _KEYS.get(section, {}), _OPTIONAL_KEYS.get(section, {}))
             if section == "searches":
                 if spec["engine"] not in _ENGINE_KEYS:
                     raise MalformedCertificate(f"unknown search engine {spec['engine']!r}")
                 shaped(spec, f"{spec['engine']} search", **_ENGINE_KEYS[spec["engine"]])
+            sizes = _SIZES.get(section)
+            if sizes in spec and not all(isinstance(m, int) for m in spec[sizes]):
+                raise MalformedCertificate(f"entry: {sizes!r} must hold integers")
             if section == "multifold":
-                shaped(spec, "multifold table", **{k: dict for k in ("classes", "discard") if k in spec})
                 for recipe in spec.get("classes", {}).values():
                     _recipe(recipe)
-                if spec.get("discard"):
-                    shaped(spec["discard"], "discard", subgroup=str, prime=int)
         return spec
 
     def group(self, group_id: str) -> GroupTable:

@@ -16,7 +16,7 @@ from .catalog import CatalogInvalid, UnknownId, open_catalog
 from .certify import MalformedCertificate, load_json, to_dict
 from .driver import RecipeInvalid, multifold, repro, run_refutation, run_search
 from .group import ElementNotInGroup, OrderCapExceeded
-from .patterns import palindrome_count, pattern_plan, word_count
+from .patterns import enumerate_reversal_classes, palindrome_count, word_count
 from .search import AnchorInvalid, refute
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         order = open_catalog(args.catalog).group(args.target).order
     if order < 1:
         raise ValueError("group order must be positive")
-    plan = pattern_plan(order)
+    classes = enumerate_reversal_classes(order)
     if args.json:
         _print_json({
             "command": "patterns",
@@ -146,14 +146,14 @@ def cmd_patterns(args: argparse.Namespace) -> int:
             "order": order,
             "words": word_count(order),
             "palindromes": palindrome_count(order),
-            "classes": [list(w) for w in plan.classes],
+            "classes": [list(w) for w in classes],
         })
     else:
         print(f"order {order}")
         print(f"prime words      {word_count(order)}")
         print(f"palindromes      {palindrome_count(order)}")
-        print(f"reversal classes {len(plan.classes)}")
-        for w in plan.classes:
+        print(f"reversal classes {len(classes)}")
+        for w in classes:
             print("  " + _word(w))
     return EXIT_OK
 
@@ -167,8 +167,6 @@ def cmd_multifold(args: argparse.Namespace) -> int:
     else:
         print(f"{rep.group_id} (order {rep.order}): {rep.verdict}, "
               f"{rep.certified_count}/{len(rep.classes)} classes certified")
-        if rep.discard_note:
-            print("  note: " + rep.discard_note)
         for c in rep.classes:
             mark = "ok" if c.certified else "--"
             note = f"  ({c.note})" if c.note else ""
@@ -194,20 +192,29 @@ def cmd_repro(args: argparse.Namespace) -> int:
     return EXIT_OK if res["pass"] else EXIT_NEGATIVE
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+# The flags beyond --catalog and --json, each added only to the subcommands
+# that read it.
+_FLAGS: dict[str, dict] = {
+    "--threads": dict(type=int, default=os.cpu_count() or 1, metavar="N",
+                      help="forked worker processes for a case2 find-all search (default: all cores)"),
+    "--budget": dict(type=float, default=None, metavar="SECONDS",
+                     help="wall clock budget, overriding any catalog default"),
+    "--cap-generic": dict(type=int, default=60, metavar="N",
+                          help="largest group order the generic engine will accept"),
+    "--find-all": dict(action="store_true",
+                       help="case3: enumerate every solution instead of stopping at the first "
+                            "(the other engines always enumerate)"),
+    "--strategy": dict(choices=("auto", "generic", "reduction"), default="auto",
+                       help="refutation strategy in ad hoc mode"),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
     sub.add_argument("--catalog", metavar="PATH", default=None,
                      help="catalog file (default: $FACTORIX_CATALOG or the bundled one)")
-    mode = sub.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="machine readable report")
-    mode.add_argument("--human", action="store_true", help="plain text report (default)")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="N",
-                     help="forked worker processes for the case2 search engine (default: all cores)")
-    sub.add_argument("--budget", type=float, default=None, metavar="SECONDS",
-                     help="wall clock budget, overriding any catalog default")
-    sub.add_argument("--cap-generic", type=int, default=60, metavar="N",
-                     help="largest group order the generic engine will accept")
-    sub.add_argument("--find-all", action="store_true",
-                     help="enumerate every solution instead of stopping at the first")
+    sub.add_argument("--json", action="store_true", help="machine readable report (default: plain text)")
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,37 +228,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="re-verify a certificate (file, '-', or catalog id)")
     p.add_argument("target", help="certificate JSON file, '-' for stdin, or a catalog id")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("search", help="run a catalog search and check its expectations")
     p.add_argument("search_id", help="catalog search id")
-    _add_common(p)
+    _add_flags(p, "--threads", "--budget", "--find-all")
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("refute", help="show a pattern admits no factorization")
     p.add_argument("target", help="catalog refutation id, or a group id with PATTERN")
     p.add_argument("pattern", nargs="?", default=None,
                    help="comma separated sizes, e.g. 2,3,2 (ad hoc mode)")
-    p.add_argument("--strategy", choices=("auto", "generic", "reduction"), default="auto",
-                   help="refutation strategy in ad hoc mode")
-    _add_common(p)
+    _add_flags(p, "--budget", "--cap-generic", "--strategy")
     p.set_defaults(func=cmd_refute)
 
     p = subs.add_parser("patterns", help="count and list the feasible prime words")
     p.add_argument("target", help="group order, or a catalog group id")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_patterns)
 
     p = subs.add_parser("multifold", help="certify one factorization per reversal class")
     p.add_argument("group_id", help="catalog group id")
-    _add_common(p)
+    _add_flags(p, "--budget", "--cap-generic")
     p.set_defaults(func=cmd_multifold)
 
     p = subs.add_parser("repro", help="replay catalog expectations as a PASS/FAIL table")
     p.add_argument("scope", nargs="?", default="all",
                    help="'all', a row id, or a dash-token subset such as 'lemma-4.5'")
-    _add_common(p)
+    _add_flags(p, "--threads")
     p.set_defaults(func=cmd_repro)
 
     return parser

@@ -27,7 +27,7 @@ from .certify import (
     replace_factor, reverse, to_dict, verify_certificate,
 )
 from .group import FactorSet, GroupTable
-from .patterns import pattern_plan, prime_index_discard, reversal_class_count
+from .patterns import enumerate_reversal_classes, reversal_class_count
 from .search import (
     case1_search, case2_search, case2_search_reversed, case3_search,
     generic_search, refute,
@@ -101,7 +101,6 @@ class MultifoldReport:
     group_id: str
     order: int
     classes: list[ClassResult]
-    discard_note: str = ""
     wall_s: float = 0.0
 
     @property
@@ -113,7 +112,7 @@ class MultifoldReport:
         return sum(1 for c in self.classes if c.certified)
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "group": self.group_id,
             "order": self.order,
             "verdict": self.verdict,
@@ -121,9 +120,6 @@ class MultifoldReport:
             "classes": [c.as_dict() for c in self.classes],
             "wall_s": round(self.wall_s, 3),
         }
-        if self.discard_note:
-            out["discard_note"] = self.discard_note
-        return out
 
 
 def multifold(
@@ -139,29 +135,14 @@ def multifold(
     """
     start = time.monotonic()
     group = cat.group(group_id)
-    plan = pattern_plan(group.order)
     try:
         table = cat.multifold_table(group_id)
     except KeyError:
         table = {"classes": {}}
     recipes = table.get("classes", {})
 
-    discard_note = ""
-    discard = table.get("discard")
-    if discard:
-        sub = cat.subgroup(discard["subgroup"])
-        p = group.order // len(sub)
-        if p != discard["prime"]:
-            raise CatalogInvalid(f"discard subgroup index is {p}, not {discard['prime']}")
-        annotated = prime_index_discard(plan, p, subgroup_multifold_asserted=True)
-        discard_note = (
-            f"{len(annotated.discarded)} of {len(plan.classes)} classes also lift "
-            f"from the index-{p} subgroup {discard['subgroup']}; "
-            "all are certified below regardless"
-        )
-
     results: list[ClassResult] = []
-    for word in plan.classes:
+    for word in enumerate_reversal_classes(group.order):
         key = ",".join(map(str, word))
         recipe = recipes.get(key)
         if recipe is not None:
@@ -185,7 +166,7 @@ def multifold(
                 results.append(ClassResult(word, "generic", None, note))
         else:
             results.append(ClassResult(word, "none", None, "no recipe and group too large"))
-    return MultifoldReport(group_id, group.order, results, discard_note, time.monotonic() - start)
+    return MultifoldReport(group_id, group.order, results, time.monotonic() - start)
 
 
 def run_search(
@@ -288,7 +269,7 @@ def repro(cat: Catalog, scope: str = "all", threads: int = 1) -> dict:
             continue
         start = time.monotonic()
         group = cat.group(group_id)
-        classes = pattern_plan(group.order).classes
+        classes = enumerate_reversal_classes(group.order)
         ok = len(classes) == reversal_class_count(group.order)
         emit(row_id, ok, f"{len(classes)} reversal classes", time.monotonic() - start)
 

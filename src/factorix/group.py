@@ -125,12 +125,8 @@ class GroupTable:
         """Index of g^-1 * x * g."""
         return self.mul_idx(self.mul_idx(self.inv[g], x), g)
 
-    def closure_indices(self, seed: list[int], cap: int | None = None) -> list[int] | None:
-        """Subgroup generated by the given element indices, as sorted indices.
-
-        Returns None if the closure grows past ``cap``.
-        """
-        limit = self.order if cap is None else min(cap, self.order)
+    def closure_indices(self, seed: list[int]) -> list[int]:
+        """Subgroup generated by the given element indices, as sorted indices."""
         members = {0}
         frontier = [0]
         gens = [g for g in seed if g != 0]
@@ -147,8 +143,6 @@ class GroupTable:
                     if b not in members:
                         members.add(b)
                         nxt.append(b)
-            if len(members) > limit:
-                return None
             frontier = nxt
         return sorted(members)
 

@@ -1,14 +1,12 @@
-"""Pattern bookkeeping: prime words of n, palindromes, reversal classes,
-and the discard step licensed by a prime-index subgroup.
+"""Pattern bookkeeping: prime words of n, palindromes and reversal classes.
 
 A prime word of n is an ordering of its prime factors with multiplicity;
-words w and reverse(w) certify each other, so plans work on reversal
-classes represented by min(w, reversed(w)).
+words w and reverse(w) certify each other, so a multifold run certifies
+one word per reversal class, represented by min(w, reversed(w)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial
 
 
@@ -26,11 +24,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def omega_reduction(n: int) -> int:
-    """Number of prime factors of n counted with multiplicity."""
-    return len(prime_factors(n))
 
 
 def _multiplicities(n: int) -> list[int]:
@@ -96,50 +89,3 @@ def enumerate_reversal_classes(n: int) -> list[tuple[int, ...]]:
     """One representative per reversal class: the lexicographic minimum of
     the word and its reversal, listed in lexicographic order."""
     return sorted({class_representative(w) for w in enumerate_words(n)})
-
-
-@dataclass
-class PatternPlan:
-    """Reversal classes still to be certified, plus those already
-    discharged with the reason."""
-
-    n: int
-    classes: list[tuple[int, ...]]
-    discarded: list[tuple[tuple[int, ...], str]] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "omega": omega_reduction(self.n),
-            "classes": [list(w) for w in self.classes],
-            "discarded": [
-                {"word": list(w), "reason": reason} for w, reason in self.discarded
-            ],
-        }
-
-
-def pattern_plan(n: int) -> PatternPlan:
-    return PatternPlan(n, enumerate_reversal_classes(n))
-
-
-def prime_index_discard(plan: PatternPlan, p: int, *, subgroup_multifold_asserted: bool = False) -> PatternPlan:
-    """Drop classes whose word starts or ends with the prime p.
-
-    Sound when G has a multifold-factorizable subgroup of index p: those
-    words lift from the subgroup through a transversal.  The caller must
-    assert that hypothesis explicitly.
-    """
-    if not subgroup_multifold_asserted:
-        raise ValueError(
-            "refusing to discard: assert the index-p subgroup hypothesis"
-        )
-    if plan.n % p:
-        return plan
-    kept, dropped = [], list(plan.discarded)
-    reason = f"lifts from an index-{p} subgroup"
-    for w in plan.classes:
-        if w[0] == p or w[-1] == p:
-            dropped.append((w, reason))
-        else:
-            kept.append(w)
-    return PatternPlan(plan.n, kept, dropped)

@@ -35,7 +35,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, prod
-from typing import Any
 import weakref
 
 from .certify import Certificate, certificate, divisibility_prune, reverse
@@ -137,19 +136,24 @@ def _reversed_certs(group: GroupTable, certs) -> tuple[Certificate, ...]:
 
 
 def _right_cosets(
-    a: Subgroup, anchor: FactorSet | None = None,
+    h: Subgroup, anchor: FactorSet | None = None, side: str = "right",
 ) -> tuple[list[int], list[int], list[int]]:
-    """The right A-coset setup every anchored engine shares: the least
-    representative of each coset, each element's coset position, and the
-    punctured transversal, i.e. the representatives whose cosets hold no
-    element of ``anchor`` (all of them without an anchor)."""
-    reps = right_transversal(a)
-    coset_of = coset_index_map(a, reps)
+    """The coset setup every anchored engine shares: the least
+    representative of each right H-coset (left H-coset with ``side="left"``),
+    each element's coset position, and the punctured transversal, i.e. the
+    representatives whose cosets hold no element of ``anchor`` (all of them
+    without an anchor)."""
+    if side == "right":
+        reps = right_transversal(h)
+        coset_of = coset_index_map(h, reps)
+    else:
+        reps = left_transversal(h)
+        coset_of = left_coset_index_map(h, reps)
     if anchor is None:
         return reps, coset_of, reps
     blocked = {coset_of[x] for x in anchor.indices}
     if len(blocked) != len(anchor):
-        raise AnchorInvalid("right A-cosets of the anchor elements are not distinct")
+        raise AnchorInvalid(f"{side} cosets of the anchor elements are not distinct")
     return reps, coset_of, [w for w in reps if coset_of[w] not in blocked]
 
 
@@ -206,13 +210,7 @@ def case1_search(
     deadline = _Deadline(budget_s)
 
     w_reps, coset_of, w_free = _right_cosets(a, d)
-
-    v_reps = left_transversal(d)
-    lcoset_of = left_coset_index_map(d, v_reps)
-    vblocked = {lcoset_of[x] for x in a.indices}
-    if len(vblocked) != len(a):
-        raise AnchorInvalid("left D-cosets of A elements are not distinct")
-    v_free = [v for v in v_reps if lcoset_of[v] not in vblocked]
+    v_free = _right_cosets(d, a, side="left")[2]
 
     space = comb(len(w_free), b_size - 1) * comb(len(v_free), c_size - 1)
     yd_masks = _coset_masks(g, d, coset_of)
@@ -271,11 +269,9 @@ class _Case2:
     the middle sizes, the punctured transversal, each element's coset
     position, the mask of the cosets y*D meets for each element y
     (``_coset_masks``), for a (b, 2) search the element bitsets T[w][p] of
-    ``_meet_sets`` for w in {e} and the transversal (empty otherwise), the
-    deadline's absolute ``time.monotonic()`` limit (None without a budget)
-    and, in a forked find-first run, the shared lowest index of a chunk
-    that found a solution (a fork context's ``Value("q")``; None
-    otherwise)."""
+    ``_meet_sets`` for w in {e} and the transversal (empty otherwise), and
+    the deadline's absolute ``time.monotonic()`` limit (None without a
+    budget).  A forked find-all run hands it to each worker of the pool."""
 
     a: Subgroup
     last: FactorSet
@@ -286,7 +282,6 @@ class _Case2:
     meet: dict[int, list[int]]
     find_all: bool
     limit: float | None
-    first_hit: Any
 
 
 # The context of a forked case2 worker, appended by the pool initializer in
@@ -301,10 +296,9 @@ def _case2_worker(first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ..
 def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ...]], bool]:
     """Enumerate every middle-factor choice whose least non-identity B
     element is w_free[first_index] (the one choice B = {e} when |B| = 1);
-    returns (examined, raw certs, budget_hit).  The deadline, and in a
-    forked find-first run the lowest chunk index with a solution, are read
-    once per completed B, before any of its candidates is examined; a
-    chunk above that index stops, since its results are never merged."""
+    returns (examined, raw certs, budget_hit).  The deadline is read once
+    per completed B, before any of its candidates is examined; in
+    find-first mode the chunk stops at its first solution."""
     g: GroupTable = ctx.a.group
     last = ctx.last
     b_size = ctx.sizes[0]
@@ -332,8 +326,6 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
         nonlocal examined, budget_hit
         if ctx.limit is not None and time.monotonic() > ctx.limit:
             budget_hit = True
-            return True
-        if ctx.first_hit is not None and ctx.first_hit.value < first_index:
             return True
         if c_size is None:
             examined += 1
@@ -374,9 +366,6 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
         return False
 
     extend((), yd[0], meet.get(0, []), first_index)
-    if raw and ctx.first_hit is not None:
-        with ctx.first_hit.get_lock():
-            ctx.first_hit.value = min(ctx.first_hit.value, first_index)
     return examined, raw, budget_hit
 
 
@@ -406,11 +395,11 @@ def case2_search(
     ``_block_masks`` with B's rows, base A*B*D and a full union.
 
     The work is one chunk per least non-identity B element.  The chunks run
-    in this process, or in ``threads`` forked worker processes when there
-    is more than one chunk; either way the results merge in chunk order and
-    stop at the first chunk that ran out of budget or, in find-first mode,
-    found a solution.  Counts and answers therefore do not depend on
-    ``threads``, and the budget is honoured at any thread count."""
+    in this process, or, for a find-all search with more than one chunk, in
+    ``threads`` forked worker processes; either way the results merge in
+    chunk order and stop at the first chunk that ran out of budget or, in
+    find-first mode, found a solution.  Counts and answers therefore do not
+    depend on ``threads``, and the budget is honoured at any thread count."""
     g = a.group
     if last.group is not g:
         raise AnchorInvalid("anchors live in different groups")
@@ -424,18 +413,9 @@ def case2_search(
     deadline = _Deadline(budget_s)
     _, coset_of, w_free = _right_cosets(a, last)
     chunks = range(len(w_free) if sizes[0] > 1 else 1)
-    fork = None
-    if threads > 1 and len(chunks) > 1:
-        # only a forked run pays for importing the pool
-        from concurrent.futures import ProcessPoolExecutor
-        import multiprocessing
-
-        fork = multiprocessing.get_context("fork")
-    # a serial run stops at the first chunk with a solution by itself
-    first_hit = fork.Value("q", len(chunks)) if fork and not find_all else None
     yd_masks = _coset_masks(g, last, coset_of)
     meet = _meet_sets(g, yd_masks, g.order // len(a), [0] + w_free) if len(sizes) == 2 else {}
-    ctx = _Case2(a, last, sizes, w_free, coset_of, yd_masks, meet, find_all, deadline.limit, first_hit)
+    ctx = _Case2(a, last, sizes, w_free, coset_of, yd_masks, meet, find_all, deadline.limit)
 
     b_size = sizes[0]
     space = comb(len(w_free), b_size - 1)
@@ -443,7 +423,12 @@ def case2_search(
         space *= comb(g.order - len(a) * b_size * len(last), sizes[1] - 1)
 
     pool = None
-    if fork:
+    if find_all and threads > 1 and len(chunks) > 1:
+        # only a forked run pays for importing the pool
+        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
+
+        fork = multiprocessing.get_context("fork")
         # under fork the initializer and its argument are inherited, not pickled
         pool = ProcessPoolExecutor(max_workers=threads, mp_context=fork,
                                    initializer=_WORKER_CTX.append, initargs=(ctx,))

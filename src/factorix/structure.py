@@ -40,9 +40,7 @@ def subgroup_from_indices(group: GroupTable, indices) -> Subgroup:
 
 
 def subgroup_generated(group: GroupTable, gen_indices) -> Subgroup:
-    closed = group.closure_indices(list(gen_indices))
-    assert closed is not None
-    return Subgroup(group, tuple(closed))
+    return Subgroup(group, tuple(group.closure_indices(list(gen_indices))))
 
 
 def subgroup_from_perms(group: GroupTable, perms: list[Perm]) -> Subgroup:

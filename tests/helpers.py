@@ -5,6 +5,7 @@ import json
 
 from factorix.certify import Certificate, to_dict
 from factorix.group import FactorSet, GroupTable, generate_group
+from factorix.patterns import prime_factors
 from factorix.perm import Perm, parse_cycles
 from factorix.structure import Subgroup
 
@@ -67,3 +68,8 @@ def enumerate_ordered_factorizations(n: int, k: int) -> list[tuple[int, ...]]:
             for tail in enumerate_ordered_factorizations(n // d, k - 1):
                 out.append((d,) + tail)
     return sorted(out)
+
+
+def omega_reduction(n: int) -> int:
+    """Number of prime factors of n counted with multiplicity."""
+    return len(prime_factors(n))

@@ -135,7 +135,6 @@ def test_multifold_group168_recipes(cat):
     rep = multifold(cat, "group-168")
     assert rep.verdict == "MULTIFOLD-CERTIFIED"
     assert rep.certified_count == len(rep.classes) == 10
-    assert "4 of 10" in rep.discard_note
     for c in rep.classes:
         assert c.certificate.pattern == c.word
         assert c.method in ("lift", "sandwich", "refine")

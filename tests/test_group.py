@@ -72,7 +72,6 @@ def test_closure_indices(a4):
     three = a4.index_of(parse_cycles("(1,2,3)", 4))
     assert a4.closure_indices([three]) == sorted(a4.closure_indices([three]))
     assert len(a4.closure_indices([three])) == 3
-    assert a4.closure_indices([three], cap=2) is None
     assert a4.closure_indices([]) == [0]
 
 

@@ -3,11 +3,10 @@ from __future__ import annotations
 import pytest
 
 from factorix.patterns import (
-    class_representative, enumerate_reversal_classes, enumerate_words, omega_reduction,
-    palindrome_count, pattern_plan, prime_factors, prime_index_discard,
-    reversal_class_count, word_count,
+    class_representative, enumerate_reversal_classes, enumerate_words,
+    palindrome_count, prime_factors, reversal_class_count, word_count,
 )
-from helpers import enumerate_ordered_factorizations
+from helpers import enumerate_ordered_factorizations, omega_reduction
 
 
 def test_prime_factors():
@@ -72,35 +71,6 @@ def test_counting_formulas_against_enumeration(n):
     pals = [w for w in words if w == tuple(reversed(w))]
     assert len(pals) == palindrome_count(n)
     assert len({class_representative(w) for w in words}) == reversal_class_count(n)
-
-
-def test_discard_requires_assertion():
-    plan = pattern_plan(168)
-    with pytest.raises(ValueError):
-        prime_index_discard(plan, 7)
-
-
-def test_discard_drops_end_sevens():
-    plan = pattern_plan(168)
-    out = prime_index_discard(plan, 7, subgroup_multifold_asserted=True)
-    assert len(out.classes) + len(out.discarded) == 10
-    assert all(w[0] != 7 and w[-1] != 7 for w in out.classes)
-    assert all(w[0] == 7 or w[-1] == 7 for w, _ in out.discarded)
-    assert len(out.classes) == 6
-
-
-def test_discard_ignores_nondivisor():
-    plan = pattern_plan(168)
-    out = prime_index_discard(plan, 5, subgroup_multifold_asserted=True)
-    assert out.classes == plan.classes
-
-
-def test_plan_as_dict():
-    d = pattern_plan(12).as_dict()
-    assert d["n"] == 12
-    assert d["omega"] == 3
-    assert d["classes"] == [[2, 2, 3], [2, 3, 2]]
-    assert d["discarded"] == []
 
 
 def test_ordered_factorizations():

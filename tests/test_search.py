@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -253,8 +254,8 @@ def test_case2_find_first_parallel_matches_serial(cat):
 
 
 def test_case2_find_first_parallel_stops_running_chunks(cat):
-    """Chunks still running when a lower chunk finds a solution stop at
-    their next B instead of going on to their own first solution."""
+    """Find-first runs in this process at any thread count, so it stops
+    at the first chunk with a solution and runs no chunk above it."""
     one = catalog_case2(cat, "search-lemma-3.3", find_all=False, threads=1)
     two = catalog_case2(cat, "search-lemma-3.3", find_all=False, threads=2)
     key = lambda c: tuple(f.indices for f in c.factors)
@@ -262,6 +263,34 @@ def test_case2_find_first_parallel_stops_running_chunks(cat):
     assert two.candidates_examined == one.candidates_examined == 2635
     # waiting for the running chunks took about 0.4 s on a 2-core machine
     assert two.wall_s < 0.25
+
+
+FIND_FIRST_PROBE = """
+import json, sys
+from factorix.catalog import open_catalog
+from factorix.search import case2_search
+cat = open_catalog()
+spec = cat.search("search-lemma-3.3")
+group = cat.group(spec["group"])
+rep = case2_search(cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"]),
+                   tuple(spec["middle"]), find_all=False, threads=2)
+print(json.dumps([rep.candidates_examined, [[f.indices for f in c.factors] for c in rep.solutions],
+                  "multiprocessing" in sys.modules]))
+"""
+
+
+def test_case2_find_first_forks_no_pool(cat):
+    """Find-first at two threads gives the serial answer and counters
+    without importing the process pool."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # this test's factorix
+    proc = subprocess.run([sys.executable, "-c", FIND_FIRST_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    examined, solutions, imported = json.loads(proc.stdout)
+    serial = catalog_case2(cat, "search-lemma-3.3", find_all=False, threads=1)
+    assert solutions == [[list(f.indices) for f in c.factors] for c in serial.solutions]
+    assert examined == serial.candidates_examined == 2635
+    assert not imported
 
 
 @pytest.mark.parametrize("middle, counts", [((4,), [8, 2, 8, 0]), ((2, 2), [48, 16, 20, 0])])
