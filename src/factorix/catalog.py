@@ -17,7 +17,7 @@ from typing import Any
 
 from .certify import (
     Certificate, MalformedCertificate, from_dict, read_factor, read_group_spec, read_perms,
-    shaped, verify_certificate,
+    shaped,
 )
 from .group import FactorSet, GroupTable, generate_group
 from .structure import Subgroup, subgroup_from_perms
@@ -179,7 +179,7 @@ class Catalog:
             spec = self._entry("certificates", cert_id)
             with _named(cert_id):
                 cert = from_dict(spec, self.group)
-            verdict = verify_certificate(cert)
+            verdict = cert.verify()
             if not verdict.valid:
                 raise CatalogInvalid(f"{cert_id}: invalid certificate: {verdict.message}")
             self._certs[cert_id] = cert

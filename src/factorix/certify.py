@@ -14,12 +14,7 @@ from typing import Any, Callable
 
 from .group import FactorSet, GroupTable, generate_group, iter_bits
 from .perm import MAX_DEGREE, Perm, parse_cycles
-from .structure import (
-    Subgroup,
-    double_cosets,
-    left_transversal,
-    right_transversal,
-)
+from .structure import Subgroup, cosets, double_cosets
 
 
 class MalformedCertificate(ValueError):
@@ -163,52 +158,20 @@ def replace_factor(cert: Certificate, position: int, parts: list[FactorSet]) -> 
     return Certificate(cert.group, factors)
 
 
-def strip_singletons(cert: Certificate) -> Certificate:
-    """Remove size-1 factors by merging them into a neighbour."""
-    factors = list(cert.factors)
-    i = 0
-    while i < len(factors) and len(factors) > 1:
-        if len(factors[i]) == 1:
-            j = i + 1 if i + 1 < len(factors) else i - 1
-            lo, hi = min(i, j), max(i, j)
-            fused = product_distinct(factors[lo], factors[hi])
-            assert fused is not None  # a singleton product cannot collide
-            factors[lo:hi + 1] = [fused]
-            i = 0
-        else:
-            i += 1
-    return Certificate(cert.group, tuple(factors))
-
-
-def _embed(parent: GroupTable, cert: Certificate) -> list[tuple[int, ...]]:
+def embed(parent: GroupTable, cert: Certificate) -> list[tuple[int, ...]]:
     """Map each factor of a certificate on a standalone table into parent
-    element indices.  A lower-degree certificate embeds through its cycle
-    strings, acting trivially on the extra points."""
-    out = []
-    for f in cert.factors:
-        indices = []
-        for p in f.perms():
-            if p.degree != parent.degree:
-                p = parse_cycles(str(p), parent.degree)
-            indices.append(parent.index_of(p))
-        out.append(tuple(sorted(indices)))
-    return out
+    element indices.  A lower-degree certificate acts trivially on the
+    extra points, so its image tuples are padded with them."""
+    pad = tuple(range(cert.group.degree + 1, parent.degree + 1))
+    return [tuple(sorted(parent.index_of(Perm(p.images + pad)) for p in f.perms())) for f in cert.factors]
 
 
 def lift_by_transversal(cert: Certificate, h: Subgroup, side: str = "right") -> Certificate:
     """From H = A1...Ak and a transversal T of H in G, build G = A1...Ak*T
     (side="right") or G = T*A1...Ak (side="left")."""
-    g = h.group
-    factors = _embed(g, cert)
-    if side == "right":
-        reps = tuple(right_transversal(h))
-        factors = factors + [reps]
-    elif side == "left":
-        reps = tuple(left_transversal(h))
-        factors = [reps] + factors
-    else:
-        raise ValueError(f"side must be left or right, not {side!r}")
-    return certificate(g, factors)
+    reps = tuple(cosets(h, side)[0])
+    factors = embed(h.group, cert)
+    return certificate(h.group, factors + [reps] if side == "right" else [reps] + factors)
 
 
 def lift_by_quotient(
@@ -220,21 +183,15 @@ def lift_by_quotient(
     """Pull a certificate of G/H back to G, inserting H as the factor at
     ``position`` (0..k).  Normality of H makes every position work with the
     canonically least coset representatives."""
-    g = h.group
-    k = len(quotient_cert.factors)
-    if not 0 <= position <= k:
+    if not 0 <= position <= len(quotient_cert.factors):
         raise InvalidPosition(position)
-    qorder = quotient_cert.group.order
-    reps = [-1] * qorder
-    for i in range(g.order):
-        q = projection[i]
-        if reps[q] < 0:
-            reps[q] = i
-    factors: list[tuple[int, ...]] = []
-    for f in quotient_cert.factors:
-        factors.append(tuple(sorted(reps[q] for q in f.indices)))
+    # the least element of each coset, indexed by its quotient element
+    reps = [0] * quotient_cert.group.order
+    for r in cosets(h, "left")[0]:
+        reps[projection[r]] = r
+    factors = [tuple(sorted(reps[q] for q in f.indices)) for f in quotient_cert.factors]
     factors.insert(position, h.indices)
-    return certificate(g, factors)
+    return certificate(h.group, factors)
 
 
 def compose_sandwich(
@@ -245,8 +202,8 @@ def compose_sandwich(
 ) -> Certificate:
     """G = A*T*B for a double-coset transversal T, valid exactly when every
     conjugate of A meets B trivially; optional certificates of A and B are
-    spliced in place of the subgroup factors.  Size-1 transversals are
-    stripped.
+    spliced in place of the subgroup factors.  With one double coset the
+    transversal is {e}, and the certificate leaves it out.
 
     The hypothesis is read off the double cosets: |AxB| = |A||B| / |A ∩ xBx⁻¹|
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005),
@@ -256,10 +213,10 @@ def compose_sandwich(
     dc = double_cosets(a, b)
     if not dc.all_full_size:
         raise ConditionFailed("some conjugate of A meets B beyond the identity")
-    a_factors = [a.indices] if a_cert is None else _embed(g, a_cert)
-    b_factors = [b.indices] if b_cert is None else _embed(g, b_cert)
-    cert = certificate(g, a_factors + [dc.representatives] + b_factors)
-    return strip_singletons(cert) if len(dc) == 1 else cert
+    a_factors = [a.indices] if a_cert is None else embed(g, a_cert)
+    b_factors = [b.indices] if b_cert is None else embed(g, b_cert)
+    middle = [dc.representatives] if len(dc) > 1 else []
+    return certificate(g, a_factors + middle + b_factors)
 
 
 def divisibility_prune(factor: FactorSet) -> bool:

@@ -98,7 +98,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     cat = open_catalog(args.catalog)
     if args.pattern is None:
-        res = run_refutation(cat, args.target, budget_s=args.budget)
+        res = run_refutation(cat, args.target, budget_s=args.budget,
+                             cap_generic=args.cap_generic, strategy=args.strategy)
         if args.json:
             _print_json({"command": "refute", "version": __version__, **res})
         else:
@@ -112,7 +113,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
     group = cat.group(args.target)
     pattern = tuple(int(m) for m in args.pattern.split(","))
     rec = refute(group, pattern, budget_s=args.budget,
-                 cap_generic=args.cap_generic, strategy=args.strategy)
+                 cap_generic=args.cap_generic, strategy=args.strategy or "auto")
     payload = {"command": "refute", "version": __version__, "group": args.target, **rec.as_dict()}
     if rec.certificate is not None:
         payload["certificate"] = to_dict(rec.certificate)
@@ -204,8 +205,9 @@ _FLAGS: dict[str, dict] = {
     "--find-all": dict(action="store_true",
                        help="case3: enumerate every solution instead of stopping at the first "
                             "(the other engines always enumerate)"),
-    "--strategy": dict(choices=("auto", "generic", "reduction"), default="auto",
-                       help="refutation strategy in ad hoc mode"),
+    "--strategy": dict(choices=("auto", "generic", "reduction"), default=None,
+                       help="refutation strategy, overriding any catalog entry's (default: the "
+                            "entry's, else auto)"),
 }
 
 

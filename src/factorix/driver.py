@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .catalog import Catalog, CatalogInvalid
 from .certify import (
-    Certificate, _embed, certificate, compose_sandwich, lift_by_transversal,
-    replace_factor, reverse, to_dict, verify_certificate,
+    Certificate, certificate, compose_sandwich, embed, lift_by_transversal,
+    replace_factor, reverse, to_dict,
 )
 from .group import FactorSet, GroupTable
 from .patterns import enumerate_reversal_classes, reversal_class_count
@@ -44,7 +44,7 @@ def build_recipe(cat: Catalog, group: GroupTable, recipe: dict) -> Certificate:
     if kind == "explicit":
         cert = cat.certificate(recipe["certificate"])
         if cert.group is not group:
-            cert = certificate(group, _embed(group, cert))
+            cert = certificate(group, embed(group, cert))
         return cert
     if kind == "lift":
         sub = cat.subgroup(recipe["subgroup"])
@@ -68,7 +68,7 @@ def build_recipe(cat: Catalog, group: GroupTable, recipe: dict) -> Certificate:
         base = build_recipe(cat, group, recipe["base"])
         position = recipe["position"]
         if "certificate" in recipe:
-            embedded = _embed(group, cat.certificate(recipe["certificate"]))
+            embedded = embed(group, cat.certificate(recipe["certificate"]))
             parts = [FactorSet(group, f) for f in embedded]
         else:
             parts = [cat.factor_set(group, texts) for texts in recipe["parts"]]
@@ -153,8 +153,7 @@ def multifold(
                 raise CatalogInvalid(
                     f"recipe for {key} builds pattern {cert.pattern}"
                 )
-            verdict = verify_certificate(cert)
-            if not verdict.valid:
+            if not cert.verify().valid:
                 raise CatalogInvalid(f"recipe for {key} assembled an invalid certificate")
             results.append(ClassResult(word, recipe["type"], cert))
         elif group.order <= cap_generic:
@@ -229,13 +228,16 @@ def run_search(
     return out
 
 
-def run_refutation(cat: Catalog, ref_id: str, budget_s: float | None = None) -> dict:
+def run_refutation(cat: Catalog, ref_id: str, budget_s: float | None = None,
+                   cap_generic: int = 60, strategy: str | None = None) -> dict:
+    """Run one catalog refutation entry.  A given budget or strategy
+    overrides the entry's; ``strategy=None`` takes the entry's, else auto."""
     spec = cat.refutation(ref_id)
     group = cat.group(spec["group"])
     budget = budget_s if budget_s is not None else spec.get("budget_s")
     rec = refute(
-        group, tuple(spec["pattern"]), budget_s=budget,
-        strategy=spec.get("strategy", "auto"),
+        group, tuple(spec["pattern"]), budget_s=budget, cap_generic=cap_generic,
+        strategy=strategy or spec.get("strategy", "auto"),
     )
     return {"id": ref_id, **rec.as_dict(), "expected": spec["expected"],
             "pass": rec.verdict == spec["expected"]}
@@ -280,7 +282,7 @@ def repro(cat: Catalog, scope: str = "all", threads: int = 1) -> dict:
         start = time.monotonic()
         try:
             cert = cat.certificate(cert_id)
-            ok = verify_certificate(cert).valid
+            ok = cert.verify().valid
             detail = f"pattern {tuple(cert.pattern)}"
         except CatalogInvalid as exc:
             ok, detail = False, str(exc)

@@ -1,11 +1,14 @@
 """Search engines for group factorizations.
 
-Three anchored engines cover the productive configurations.  All three
-test candidates on masks of right A-cosets: ``_coset_masks`` gives, once
-per search, the cosets met by y*D for every element y.  Case1 and case3
-decide x with ``_block_masks``, which ORs them over the rows of B into the
-mask of the block A*B*x*D, rejecting x at the first overlap; case2 reads
-all its accepted x at once off element bitsets (``_meet_sets``).
+Three anchored engines cover the productive configurations.  Every coset
+position comes from ``structure.cosets``, one pass over G;
+``_right_cosets`` adds the punctured transversal, the representatives
+whose cosets hold no anchor element.  All three engines test candidates
+on masks of right A-cosets: ``_coset_masks`` gives, once per search, the
+cosets met by y*D for every element y.  Case1 and case3 decide x with
+``_block_masks``, which ORs them over the rows of B into the mask of the
+block A*B*x*D, rejecting x at the first overlap; case2 reads all its
+accepted x at once off element bitsets (``_meet_sets``).
 
 * case1: both end factors are subgroups, middle factors are enumerated
   over punctured transversals; A*B*C*D = G iff the block masks of the
@@ -40,14 +43,7 @@ import weakref
 from .certify import Certificate, certificate, divisibility_prune, reverse
 from .group import FactorSet, GroupTable, bits_of, iter_bits
 from .indset import exact_covers
-from .structure import (
-    Subgroup,
-    coset_index_map,
-    left_coset_index_map,
-    left_transversal,
-    right_transversal,
-    subgroup_from_indices,
-)
+from .structure import Subgroup, cosets, subgroup_from_indices
 
 
 class AnchorInvalid(ValueError):
@@ -135,22 +131,13 @@ def _reversed_certs(group: GroupTable, certs) -> tuple[Certificate, ...]:
     return _sorted_certs(group, [tuple(f.indices for f in reverse(c).factors) for c in certs])
 
 
-def _right_cosets(
-    h: Subgroup, anchor: FactorSet | None = None, side: str = "right",
-) -> tuple[list[int], list[int], list[int]]:
-    """The coset setup every anchored engine shares: the least
-    representative of each right H-coset (left H-coset with ``side="left"``),
-    each element's coset position, and the punctured transversal, i.e. the
-    representatives whose cosets hold no element of ``anchor`` (all of them
-    without an anchor)."""
-    if side == "right":
-        reps = right_transversal(h)
-        coset_of = coset_index_map(h, reps)
-    else:
-        reps = left_transversal(h)
-        coset_of = left_coset_index_map(h, reps)
-    if anchor is None:
-        return reps, coset_of, reps
+def _right_cosets(h: Subgroup, anchor: FactorSet, side: str = "right") -> tuple[list[int], list[int], list[int]]:
+    """The coset setup every anchored engine shares: ``cosets(h, side)``
+    (the least element of each right H-coset, or left H-coset with
+    ``side="left"``, and each element's coset position) plus the punctured
+    transversal, i.e. the representatives whose cosets hold no element of
+    ``anchor``."""
+    reps, coset_of = cosets(h, side)
     blocked = {coset_of[x] for x in anchor.indices}
     if len(blocked) != len(anchor):
         raise AnchorInvalid(f"{side} cosets of the anchor elements are not distinct")
@@ -250,13 +237,13 @@ def case1_search(
 # ---------------------------------------------------------------- case 2
 
 
-def _meet_sets(g: GroupTable, yd_masks: list[int], cosets: int, ws: Iterable[int]) -> dict[int, list[int]]:
-    """For each w in ``ws`` and each of the ``cosets`` right A-coset
+def _meet_sets(g: GroupTable, yd_masks: list[int], n_cosets: int, ws: Iterable[int]) -> dict[int, list[int]]:
+    """For each w in ``ws`` and each of the ``n_cosets`` right A-coset
     positions p, the element bitset T[w][p] of the x with w*x*D meeting
     coset p.  It is the set of w^-1*y over the y whose mask ``yd_masks[y]``
     holds p, so one list of those y per p (|G||D| entries in all) serves
     every w."""
-    met: list[list[int]] = [[] for _ in range(cosets)]
+    met: list[list[int]] = [[] for _ in range(n_cosets)]
     for y, mask in enumerate(yd_masks):
         for p in iter_bits(mask):
             met[p].append(y)
@@ -670,7 +657,7 @@ def _scan_parity(group: GroupTable, a_rep: int, m: int, deadline: _Deadline) -> 
     n_pos = group.order // 2
     if 2 * m != n_pos:
         raise AnchorInvalid("middle size incompatible with (2, m, 2)")
-    reps, coset_of, _ = _right_cosets(a)
+    reps, coset_of = cosets(a)
     examined = 0
     for d in _involutions(group):
         if deadline.expired():
@@ -717,7 +704,7 @@ def _scan_block_cover(
     coset representatives containing e, a factorization exists iff c blocks
     of the compatibility graph exactly cover the right A-cosets."""
     a = subgroup_from_indices(group, (0, a_rep))
-    reps, coset_of, _ = _right_cosets(a)
+    reps, coset_of = cosets(a)
     examined = 0
     for d in _involutions(group):
         d_set = FactorSet(group, (0, d))

@@ -1,5 +1,5 @@
-"""Subgroups and coset structure: transversals, coset maps, double cosets,
-quotients and normality.
+"""Subgroups and coset structure: one coset pass (``cosets``) under the
+transversals, coset maps, double cosets, normality and quotients.
 """
 
 from __future__ import annotations
@@ -47,54 +47,31 @@ def subgroup_from_perms(group: GroupTable, perms: list[Perm]) -> Subgroup:
     return subgroup_generated(group, [group.index_of(p) for p in perms])
 
 
-def right_transversal(h: Subgroup) -> list[int]:
-    """One representative per right coset Hx, the smallest index in each,
-    listed in increasing order (so the identity represents H itself)."""
+def cosets(h: Subgroup, side: str = "right") -> tuple[list[int], list[int]]:
+    """The cosets of H in one pass over G: the representatives of the right
+    cosets Hx (left cosets xH with ``side="left"``) and each element's coset
+    position.  Elements are visited in index order, so one with no position
+    yet is the least element of a new coset and represents it; the
+    representatives ascend, and the identity represents H itself."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be left or right, not {side!r}")
     g = h.group
-    seen = 0
-    reps = []
-    for x in range(g.order):
-        if seen >> x & 1:
-            continue
-        reps.append(x)
-        row_targets = [g.row(a)[x] for a in h.indices]
-        seen |= bits_of(row_targets)
-    return reps
-
-
-def left_transversal(h: Subgroup) -> list[int]:
-    """One representative per left coset xH, smallest index first."""
-    g = h.group
-    seen = 0
-    reps = []
-    for x in range(g.order):
-        if seen >> x & 1:
-            continue
-        reps.append(x)
-        row = g.row(x)
-        seen |= bits_of(row[a] for a in h.indices)
-    return reps
-
-
-def coset_index_map(h: Subgroup, reps: list[int]) -> list[int]:
-    """Map element index -> position of its right-H-coset in ``reps``."""
-    g = h.group
+    h_rows = [g.row(a) for a in h.indices]
     where = [-1] * g.order
-    for pos, r in enumerate(reps):
-        for a in h.indices:
-            where[g.row(a)[r]] = pos
-    return where
-
-
-def left_coset_index_map(h: Subgroup, reps: list[int]) -> list[int]:
-    """Map element index -> position of its left-H-coset in ``reps``."""
-    g = h.group
-    where = [-1] * g.order
-    for pos, r in enumerate(reps):
-        row = g.row(r)
-        for a in h.indices:
-            where[row[a]] = pos
-    return where
+    reps: list[int] = []
+    for x in range(g.order):
+        if where[x] >= 0:
+            continue
+        pos = len(reps)
+        reps.append(x)
+        if side == "right":
+            for row in h_rows:
+                where[row[x]] = pos
+        else:
+            row = g.row(x)
+            for a in h.indices:
+                where[row[a]] = pos
+    return reps, where
 
 
 @dataclass(frozen=True)
@@ -116,46 +93,31 @@ class DoubleCosetDecomposition:
 
 def double_cosets(a: Subgroup, b: Subgroup) -> DoubleCosetDecomposition:
     """Decompose G into A x B double cosets; representatives are the
-    smallest element index in each coset, in increasing order."""
+    smallest element index in each coset, in increasing order.  A*r*B is
+    the union of the right A-cosets of r*q, q in B, so it costs |B| lookups
+    in ``cosets(a)``, and the least element of each double coset is the
+    first right A-coset representative it holds."""
     g = a.group
     if b.group is not g:
         raise ValueError("subgroups of different groups")
+    a_reps, where = cosets(a)
     seen = 0
     reps, sizes = [], []
-    for x in range(g.order):
-        if seen >> x & 1:
+    for pos, r in enumerate(a_reps):
+        if seen >> pos & 1:
             continue
-        mask = 0
-        for p in a.indices:
-            px = g.row(p)[x]
-            row = g.row(px)
-            mask |= bits_of(row[q] for q in b.indices)
-        reps.append(x)
-        sizes.append(mask.bit_count())
+        row = g.row(r)
+        mask = bits_of(where[row[q]] for q in b.indices)
+        reps.append(r)
+        sizes.append(len(a) * mask.bit_count())
         seen |= mask
     return DoubleCosetDecomposition(g, a, b, tuple(reps), tuple(sizes))
 
 
-def conjugate_intersection_trivial(a: Subgroup, b: Subgroup) -> bool:
-    """True when x^-1 A x meets B only in the identity, for every x in G."""
-    g = a.group
-    b_bits = b.bits
-    nontrivial_a = [p for p in a.indices if p != 0]
-    for x in range(g.order):
-        for p in nontrivial_a:
-            if b_bits >> g.conjugate_idx(p, x) & 1:
-                return False
-    return True
-
-
 def is_normal(h: Subgroup) -> bool:
-    g = h.group
-    hb = h.bits
-    for x in range(g.order):
-        for p in h.indices:
-            if not hb >> g.conjugate_idx(p, x) & 1:
-                return False
-    return True
+    """xH = Hx for every x exactly when the left and right coset passes
+    meet the same least elements in the same order."""
+    return cosets(h, "left") == cosets(h)
 
 
 def quotient_group(h: Subgroup) -> tuple[GroupTable, list[int]]:
@@ -168,9 +130,7 @@ def quotient_group(h: Subgroup) -> tuple[GroupTable, list[int]]:
     if not is_normal(h):
         raise NotNormal("subgroup is not normal")
     g = h.group
-    reps = left_transversal(h)
-    m = len(reps)
-    where = left_coset_index_map(h, reps)
+    reps, where = cosets(h, "left")
     # each coset acts on coset positions by right multiplication
     perms = []
     for r in reps:
@@ -178,7 +138,7 @@ def quotient_group(h: Subgroup) -> tuple[GroupTable, list[int]]:
         perms.append(Perm(images))
     qgens = [perms[where[g.index_of(p)]] for p in g.generators] or [perms[0]]
     qtable = generate_group([p for p in qgens if not p.is_identity()] or [perms[0]])
-    if qtable.order != m:
+    if qtable.order != len(reps):
         raise NotNormal("coset action did not close on the cosets")
     reindex = [qtable.index_of(p) for p in perms]
     projection = [reindex[where[i]] for i in range(g.order)]

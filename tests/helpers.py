@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 
-from factorix.certify import Certificate, to_dict
+from factorix.certify import Certificate, product_distinct, to_dict
 from factorix.group import FactorSet, GroupTable, generate_group
 from factorix.patterns import prime_factors
 from factorix.perm import Perm, parse_cycles
@@ -73,3 +73,34 @@ def enumerate_ordered_factorizations(n: int, k: int) -> list[tuple[int, ...]]:
 def omega_reduction(n: int) -> int:
     """Number of prime factors of n counted with multiplicity."""
     return len(prime_factors(n))
+
+
+def strip_singletons(cert: Certificate) -> Certificate:
+    """Remove size-1 factors by merging them into a neighbour."""
+    factors = list(cert.factors)
+    i = 0
+    while i < len(factors) and len(factors) > 1:
+        if len(factors[i]) == 1:
+            j = i + 1 if i + 1 < len(factors) else i - 1
+            lo, hi = min(i, j), max(i, j)
+            fused = product_distinct(factors[lo], factors[hi])
+            assert fused is not None  # a singleton product cannot collide
+            factors[lo:hi + 1] = [fused]
+            i = 0
+        else:
+            i += 1
+    return Certificate(cert.group, tuple(factors))
+
+
+def conjugate_intersection_trivial(a: Subgroup, b: Subgroup) -> bool:
+    """True when x^-1 A x meets B only in the identity, for every x in G:
+    the reference the double-coset test ``all_full_size`` is checked
+    against."""
+    g = a.group
+    b_bits = b.bits
+    nontrivial_a = [p for p in a.indices if p != 0]
+    for x in range(g.order):
+        for p in nontrivial_a:
+            if b_bits >> g.conjugate_idx(p, x) & 1:
+                return False
+    return True

@@ -14,18 +14,18 @@ from factorix.certify import (
     Certificate, ConditionFailed, certificate, compose_sandwich,
     divisibility_prune, dump_json, from_dict, lift_by_quotient,
     lift_by_transversal, load_json, merge_adjacent, normalize, replace_factor,
-    reverse, strip_singletons, to_dict,
+    reverse, to_dict,
 )
 from factorix.group import GroupTable, generate_group
 from factorix.patterns import enumerate_words
 from factorix.perm import parse_cycles
 from factorix.search import generic_search, refute
-from factorix.structure import (
-    conjugate_intersection_trivial, double_cosets, is_normal, quotient_group,
-    subgroup_from_indices,
-)
+from factorix.structure import double_cosets, is_normal, quotient_group, subgroup_from_indices
 
-from helpers import canonical, enumerate_ordered_factorizations, standalone_table
+from helpers import (
+    canonical, conjugate_intersection_trivial, enumerate_ordered_factorizations,
+    standalone_table, strip_singletons,
+)
 
 
 def _table(degree: int, *cycle_texts: str) -> GroupTable:

@@ -8,12 +8,15 @@ from factorix.certify import (
     ConditionFailed, InvalidPosition, MalformedCertificate, certificate,
     compose_sandwich, divisibility_prune, dump_json, from_dict,
     lift_by_quotient, lift_by_transversal, load_json, merge_adjacent,
-    normalize, product_distinct, replace_factor, reverse, strip_singletons,
-    to_dict, verify_certificate,
+    normalize, product_distinct, replace_factor, reverse, to_dict,
+    verify_certificate,
 )
 from factorix.perm import parse_cycles
-from factorix.structure import conjugate_intersection_trivial, quotient_group, subgroup_from_perms
-from helpers import all_subgroups, cert_from, fs, group_from, standalone_table
+from factorix.structure import quotient_group, subgroup_from_perms
+from helpers import (
+    all_subgroups, cert_from, conjugate_intersection_trivial, fs, group_from,
+    standalone_table, strip_singletons,
+)
 
 
 def sub(group, *texts):

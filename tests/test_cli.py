@@ -175,6 +175,31 @@ def test_refute_catalog_entry(capsys):
     assert "verdict NONE (want NONE)" in out
 
 
+def test_refute_catalog_entry_flags_override_the_entry(capsys):
+    # the entry asks for the generic engine; both flags override it
+    rc, out, _ = run(capsys, "refute", "refute-a4-232", "--strategy", "reduction",
+                     "--cap-generic", "1", "--json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert (payload["strategy"], payload["instances"], payload["verdict"]) == ("coset-parity", 3, "NONE")
+    # without the flags the entry's generic strategy runs
+    rc, out, _ = run(capsys, "refute", "refute-a4-232", "--json")
+    assert rc == 0
+    assert (json.loads(out)["strategy"], json.loads(out)["instances"]) == ("generic", 285)
+
+
+def test_refute_catalog_entry_cap_generic_overrides(tmp_path, capsys, cat):
+    # an auto entry whose pattern has no 2-...-2 reduction: the generic cap decides
+    data = copy.deepcopy(cat.data)
+    data["refutations"]["refute-a4-232"].update(pattern=[3, 2, 2], strategy="auto")
+    target = tmp_path / "catalog.json"
+    target.write_text(json.dumps(data))
+    rc, out, _ = run(capsys, "refute", "refute-a4-232", "--catalog", str(target))
+    assert rc == 1 and "verdict FOUND" in out
+    rc, out, _ = run(capsys, "refute", "refute-a4-232", "--catalog", str(target), "--cap-generic", "1")
+    assert rc == 3 and "verdict UNKNOWN" in out and "strategy none-applicable" in out
+
+
 def test_refute_adhoc_found_exit1(capsys):
     rc, out, _ = run(capsys, "refute", "group-s4", "2,3,2,2")
     assert rc == 1

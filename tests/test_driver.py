@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
-from factorix import driver
+from factorix import certify, driver
 from factorix.catalog import Catalog, CatalogInvalid, open_catalog
 from factorix.certify import verify_certificate
 from factorix.driver import (
@@ -262,3 +263,21 @@ def test_repro_double_coset_scope(cat):
 def test_repro_unknown_scope(cat):
     with pytest.raises(CatalogInvalid):
         repro(cat, scope="nothing-here")
+
+
+def test_repro_verifies_each_catalog_certificate_once(monkeypatch):
+    """Catalog.certificate verifies on first load and the verify rows read
+    the memoised verdict, so each of the 41 certificates is verified once."""
+    calls = []
+
+    def counting(cert):
+        calls.append(cert)
+        return verify_certificate(cert)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("factorix") and getattr(module, "verify_certificate", None) is verify_certificate:
+            monkeypatch.setattr(module, "verify_certificate", counting)
+    assert certify.verify_certificate is counting
+    res = repro(open_catalog(), "verify")
+    assert len(res["rows"]) == 41 and res["pass"]
+    assert len(calls) == 41

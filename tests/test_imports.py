@@ -1,5 +1,6 @@
-"""Every name a factorix module imports is used in that module, and the
-CLI imports no module that only some commands need."""
+"""Every name a factorix module imports is used in that module, no module
+imports another's private (underscore) names, and the CLI imports no
+module that only some commands need."""
 from __future__ import annotations
 
 import ast
@@ -43,6 +44,28 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names (dunders aside) a module imports from factorix."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("factorix")):
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    out.append(f"{name} (line {node.lineno})")
+    return out
+
+
+def test_detects_a_private_import():
+    source = "from . import __version__\nfrom .certify import _embed, embed\nfrom os import _exit\n"
+    assert private_imports(source) == ["_embed (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
 
 
 def test_cli_import_leaves_out_the_fork_pool():

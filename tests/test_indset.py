@@ -4,7 +4,7 @@ from itertools import combinations
 
 from factorix.group import bits_of
 from factorix.indset import exact_covers
-from factorix.structure import coset_index_map, right_transversal, subgroup_from_indices
+from factorix.structure import cosets, subgroup_from_indices
 
 
 def brute(masks, n_positions, size):
@@ -26,8 +26,7 @@ def case3_blocks(group, a_indices, b_indices, d_indices):
     """Masks of the blocks A*B*x*D over the right A-cosets, for every x whose
     block has |B||D| cosets; computed from the group rows directly."""
     a = subgroup_from_indices(group, a_indices)
-    reps = right_transversal(a)
-    coset_of = coset_index_map(a, reps)
+    reps, coset_of = cosets(a)
     need = len(b_indices) * len(d_indices)
     masks = []
     for x in range(group.order):
@@ -102,7 +101,7 @@ def test_matches_brute_force(a4, a5):
     a_c3 = tuple(sorted(a4.closure_indices([c3])))
     cases.append((a4, a_c3, (0,), (0,), 4))
     t = involution(a5)
-    reps = right_transversal(subgroup_from_indices(a5, (0, t)))
+    reps = cosets(subgroup_from_indices(a5, (0, t)))[0]
     c5 = next(x for x in range(a5.order) if a5.element_orders[x] == 5)
     a5_c5 = tuple(sorted(a5.closure_indices([c5])))
     for extra in list(combinations(reps[1:], 2))[:60:3]:

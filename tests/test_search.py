@@ -18,9 +18,7 @@ from factorix.search import (
     case1_search, case2_search, case2_search_reversed, case3_search,
     conjugacy_class, generic_search, involution_class_reps, refute,
 )
-from factorix.structure import (
-    coset_index_map, left_transversal, right_transversal, subgroup_from_perms,
-)
+from factorix.structure import cosets, subgroup_from_perms
 from helpers import fs, group_from
 
 
@@ -34,8 +32,7 @@ def verified_count(group, factor_tuples):
 
 
 def punctured(a, anchor_indices):
-    reps = right_transversal(a)
-    coset_of = coset_index_map(a, reps)
+    reps, coset_of = cosets(a)
     blocked = {coset_of[x] for x in anchor_indices}
     return [w for w in reps if coset_of[w] not in blocked]
 
@@ -46,7 +43,7 @@ def punctured(a, anchor_indices):
 def case1_candidates(a, d, b_size, c_size):
     g = a.group
     w_free = punctured(a, d.indices)
-    v_reps = left_transversal(d)
+    v_reps = cosets(d, "left")[0]
     lcoset = [-1] * g.order
     for pos, r in enumerate(v_reps):
         row = g.row(r)
@@ -298,7 +295,7 @@ def test_case2_matches_generic_search(s4, middle, counts):
     """Every case2 answer, and only those, among the generic engine's
     factorizations with the same end factors and B in the transversal."""
     a = sub(s4, "(1,2,3)")
-    reps = set(right_transversal(a))
+    reps = set(cosets(a)[0])
     key = lambda c: tuple(f.indices for f in c.factors)
     generic = [key(c) for c in generic_search(s4, (3,) + middle + (2,), find_all=True).solutions]
     got = []

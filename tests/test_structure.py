@@ -5,12 +5,13 @@ import pytest
 from factorix.group import bits_of
 from factorix.perm import parse_cycles
 from factorix.structure import (
-    NotASubgroup, NotNormal, coset_index_map, conjugate_intersection_trivial,
-    double_cosets, is_normal, left_coset_index_map, left_transversal,
-    quotient_group, right_transversal, subgroup_from_indices,
-    subgroup_from_perms, subgroup_generated,
+    NotASubgroup, NotNormal, cosets, double_cosets, is_normal, quotient_group,
+    subgroup_from_indices, subgroup_from_perms, subgroup_generated,
 )
-from helpers import all_subgroups, standalone_table, subgroup_generators
+from helpers import (
+    all_subgroups, conjugate_intersection_trivial, standalone_table,
+    subgroup_generators,
+)
 
 
 def sub(group, *texts):
@@ -49,10 +50,9 @@ def test_standalone_table(s4):
 
 def test_right_transversal_covers(a4):
     v4 = sub(a4, "(1,2)(3,4)", "(1,3)(2,4)")
-    reps = right_transversal(v4)
+    reps, where = cosets(v4)
     assert len(reps) == 3
     assert reps[0] == 0
-    where = coset_index_map(v4, reps)
     for pos, r in enumerate(reps):
         block = [x for x in range(a4.order) if where[x] == pos]
         assert block == sorted(a4.row(a)[r] for a in v4.indices)
@@ -62,9 +62,8 @@ def test_right_transversal_covers(a4):
 
 def test_left_transversal_covers(a4):
     c3 = sub(a4, "(1,2,3)")
-    reps = left_transversal(c3)
+    reps, where = cosets(c3, "left")
     assert len(reps) == 4
-    where = left_coset_index_map(c3, reps)
     covered = 0
     for pos, r in enumerate(reps):
         row = a4.row(r)
@@ -77,11 +76,64 @@ def test_left_transversal_covers(a4):
 
 def test_coset_index_map(s4):
     c4 = sub(s4, "(1,2,3,4)")
-    reps = right_transversal(c4)
-    where = coset_index_map(c4, reps)
+    reps, where = cosets(c4)
     assert all(w >= 0 for w in where)
     for pos, r in enumerate(reps):
         assert where[r] == pos
+
+
+@pytest.fixture(scope="module", params=["s4", "a5"])
+def subgroups(request):
+    """Every 2-generated subgroup of S4 or of A5 (all of their subgroups)."""
+    return all_subgroups(request.getfixturevalue(request.param))
+
+
+def coset_of(h, x, side):
+    """The coset Hx (xH with ``side="left"``) by set arithmetic."""
+    g = h.group
+    return frozenset(g.mul_idx(a, x) if side == "right" else g.mul_idx(x, a) for a in h.indices)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_cosets_match_set_arithmetic(subgroups, side):
+    for h in subgroups:
+        g = h.group
+        reps, where = cosets(h, side)
+        blocks = [coset_of(h, x, side) for x in range(g.order)]
+        assert reps == sorted(reps)
+        assert [min(blocks[r]) for r in reps] == reps  # least element of its coset
+        assert len(reps) * len(h) == g.order
+        for x in range(g.order):
+            for y in range(g.order):
+                assert (where[x] == where[y]) == (blocks[x] == blocks[y])
+
+
+def test_is_normal_matches_brute_force(subgroups):
+    normal = []
+    for h in subgroups:
+        g = h.group
+        want = all(g.conjugate_idx(p, x) in h for x in range(g.order) for p in h.indices)
+        assert is_normal(h) == want
+        if want:
+            normal.append(len(h))
+    # S4: {e}, V4, A4 and S4; A5 is simple
+    assert normal == {24: [1, 4, 12, 24], 60: [1, 60]}[g.order]
+
+
+def test_double_cosets_match_brute_force(subgroups):
+    for a in subgroups:
+        g = a.group
+        for b in subgroups:
+            seen, reps, sizes = set(), [], []
+            for x in range(g.order):
+                if x in seen:
+                    continue
+                block = {g.mul_idx(g.mul_idx(p, x), q) for p in a.indices for q in b.indices}
+                reps.append(x)
+                sizes.append(len(block))
+                seen |= block
+            dc = double_cosets(a, b)
+            assert (dc.representatives, dc.sizes) == (tuple(reps), tuple(sizes))
 
 
 def test_double_cosets_partition(a5):
