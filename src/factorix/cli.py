@@ -197,7 +197,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
 # that read it.
 _FLAGS: dict[str, dict] = {
     "--threads": dict(type=int, default=os.cpu_count() or 1, metavar="N",
-                      help="forked worker processes for a case2 find-all search (default: all cores)"),
+                      help="forked worker processes for a case2 search (default: all cores)"),
     "--budget": dict(type=float, default=None, metavar="SECONDS",
                      help="wall clock budget, overriding any catalog default"),
     "--cap-generic": dict(type=int, default=60, metavar="N",

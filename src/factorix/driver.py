@@ -178,8 +178,9 @@ def run_search(
 ) -> dict:
     """Run one catalog search entry and compare against its expectations.
 
-    ``find_all`` switches the find-first engines (case3) to exhaustive mode;
-    the counting engines always enumerate everything.
+    The counting engines (case1, case2) always enumerate everything;
+    ``find_all`` makes case3 do so too in place of stopping at its first
+    solution.  ``threads`` bounds the forked workers of a case2 search.
     """
     spec = cat.search(search_id)
     group = cat.group(spec["group"])
@@ -188,14 +189,12 @@ def run_search(
     start = time.monotonic()
     first, last = cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"])
     if engine == "case1":
-        rep = case1_search(first, last, tuple(spec["middle"]), find_all=True, budget_s=budget)
+        rep = case1_search(first, last, tuple(spec["middle"]), budget_s=budget)
     elif engine == "case3":
-        rep = case3_search(first, last, spec["b_size"], spec["c_size"], find_all=find_all,
-                           budget_s=budget, max_solutions=None if find_all else 1)
+        rep = case3_search(first, last, spec["b_size"], spec["c_size"], find_all=find_all, budget_s=budget)
     else:
         engine_search = case2_search if engine == "case2" else case2_search_reversed
-        rep = engine_search(first, last, tuple(spec["middle"]), find_all=True, budget_s=budget,
-                            threads=threads)
+        rep = engine_search(first, last, tuple(spec["middle"]), budget_s=budget, threads=threads)
     wall = time.monotonic() - start
 
     checks = {}

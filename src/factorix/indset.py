@@ -6,7 +6,9 @@ right A-cosets, a mask over the |G|/|A| coset positions, and the engines
 want independent sets (pairwise disjoint blocks) of size s, where
 s*|B||D| = |G|/|A|.  s disjoint blocks of |B||D| cosets cover all |G|/|A|
 cosets exactly once, and an exact cover by s blocks is s disjoint blocks, so
-these independent sets are exactly the exact covers by s blocks.
+these independent sets are exactly the exact covers by s blocks.  Its
+callers want every cover (a find-all case3 search) or the first one (a
+find-first case3 search and the block-cover scan).
 """
 
 from __future__ import annotations
@@ -21,15 +23,16 @@ def exact_covers(
     masks: list[int] | tuple[int, ...],
     n_positions: int,
     size: int,
-    limit: int | None = None,
+    first: bool = False,
 ) -> list[tuple[int, ...]]:
     """The sets of ``size`` blocks (masks: non-empty sets of positions) that
     partition the positions 0..n_positions-1, as a sorted list of sorted
-    index tuples; all of them for ``limit=None``, else the first ``limit``.
-    Branches on the uncovered position with the fewest fitting blocks (ties:
-    the lowest position), trying them in index order."""
+    index tuples: all of them, or with ``first`` only the first one found
+    (an empty list when there is none).  Branches on the uncovered position
+    with the fewest fitting blocks (ties: the lowest position), trying them
+    in index order."""
     full = (1 << n_positions) - 1
-    if limit == 0 or full & ~reduce(or_, masks, 0):
+    if full & ~reduce(or_, masks, 0):
         return []  # a position that no block holds admits no cover
     holders = [0] * n_positions  # per position: the blocks containing it
     for i, m in enumerate(masks):
@@ -43,7 +46,7 @@ def exact_covers(
         if len(chosen) == size:
             if covered == full:
                 out.append(tuple(sorted(chosen)))
-            return limit is not None and len(out) >= limit
+            return first and bool(out)
         fewest, cands = None, 0
         for p in iter_bits(full ^ covered):
             fit = holders[p] & live

@@ -29,6 +29,11 @@ block-cover scan runs the same exact-cover kernel, and its completed
 results are reused across a reversal class.  Every emitted certificate
 passes the verifier before it is reported; engines never trust their own
 constructions.
+
+Case1 and case2 count, so they always enumerate every solution; case3
+and the generic engine stop at their first solution unless ``find_all``
+is set.  A report is ``exhaustive`` exactly when the whole space was
+searched: the budget held, and a find-first search found nothing.
 """
 
 from __future__ import annotations
@@ -115,14 +120,13 @@ def _sorted_certs(group: GroupTable, raw: list[tuple[tuple[int, ...], ...]]) -> 
 
 
 def _report(engine: str, group: GroupTable, pattern: tuple[int, ...], deadline: _Deadline,
-            raw: list[tuple[tuple[int, ...], ...]], find_all: bool, capped: bool = False,
-            **counts) -> SearchReport:
+            raw: list[tuple[tuple[int, ...], ...]], find_all: bool, **counts) -> SearchReport:
     """The report every engine ends with: its raw answers verified and
     sorted, its counters, and the wall time (verification included) and
-    budget flag of its deadline.  It is exhaustive unless the budget ran
-    out or ``capped`` (a solution cap ended it before its space did)."""
+    budget flag of its deadline.  It is exhaustive when the whole space
+    was searched: the budget held, and a find-first search found nothing."""
     return SearchReport(engine=engine, pattern=tuple(pattern), solutions=_sorted_certs(group, raw),
-                        exhaustive=not deadline.hit and not capped, find_all=find_all,
+                        exhaustive=not deadline.hit and (find_all or not raw), find_all=find_all,
                         wall_s=deadline.elapsed(), budget_hit=deadline.hit, **counts)
 
 
@@ -175,7 +179,6 @@ def case1_search(
     a: Subgroup,
     d: Subgroup,
     middle_sizes: tuple[int, ...],
-    find_all: bool = True,
     budget_s: float | None = None,
 ) -> SearchReport:
     """Enumerate G = A*B*C*D with subgroups A, D anchored and the middle
@@ -205,9 +208,8 @@ def case1_search(
 
     examined = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
-    stop = False
     for b_extra in combinations(w_free, b_size - 1):
-        if stop or deadline.expired():
+        if deadline.expired():
             break
         b_rows = [g.row(w) for w in (0,) + b_extra]
         blocks = dict(_block_masks(b_rows, yd_masks, [0] + v_free))
@@ -227,10 +229,7 @@ def case1_search(
                         d.indices,
                     )
                 )
-                if not find_all:
-                    stop = True
-                    break
-    return _report("case1", g, (len(a), b_size, c_size, len(d)), deadline, raw, find_all,
+    return _report("case1", g, (len(a), b_size, c_size, len(d)), deadline, raw, True,
                    candidate_space=space, candidates_examined=examined)
 
 
@@ -253,21 +252,19 @@ def _meet_sets(g: GroupTable, yd_masks: list[int], n_cosets: int, ws: Iterable[i
 @dataclass(frozen=True)
 class _Case2:
     """What every case2 chunk reads, built once per search: the anchors,
-    the middle sizes, the punctured transversal, each element's coset
-    position, the mask of the cosets y*D meets for each element y
-    (``_coset_masks``), for a (b, 2) search the element bitsets T[w][p] of
-    ``_meet_sets`` for w in {e} and the transversal (empty otherwise), and
-    the deadline's absolute ``time.monotonic()`` limit (None without a
-    budget).  A forked find-all run hands it to each worker of the pool."""
+    the middle sizes, the punctured transversal, the mask of the cosets y*D
+    meets for each element y (``_coset_masks``), for a (b, 2) search the
+    element bitsets T[w][p] of ``_meet_sets`` for w in {e} and the
+    transversal (empty otherwise), and the deadline's absolute
+    ``time.monotonic()`` limit (None without a budget).  A forked run hands
+    it to each worker of the pool."""
 
     a: Subgroup
     last: FactorSet
     sizes: tuple[int, ...]
     w_free: list[int]
-    coset_of: list[int]
     yd_masks: list[int]
     meet: dict[int, list[int]]
-    find_all: bool
     limit: float | None
 
 
@@ -284,8 +281,7 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
     """Enumerate every middle-factor choice whose least non-identity B
     element is w_free[first_index] (the one choice B = {e} when |B| = 1);
     returns (examined, raw certs, budget_hit).  The deadline is read once
-    per completed B, before any of its candidates is examined; in
-    find-first mode the chunk stops at its first solution."""
+    per completed B, before any of its candidates is examined."""
     g: GroupTable = ctx.a.group
     last = ctx.last
     b_size = ctx.sizes[0]
@@ -318,7 +314,6 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
             examined += 1
             if mask == full:
                 emit(b_extra, ())
-                return not ctx.find_all
             return False
         # C = {e, x}: the blocks b*x*D must meet every coset A*B*D misses
         examined += outside
@@ -327,12 +322,6 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
             accepted &= union[p]
             if not accepted:
                 return False
-        if not ctx.find_all:
-            x = next(iter_bits(accepted))
-            emit(b_extra, (x,))
-            coset_of = ctx.coset_of
-            examined -= sum(1 for y in range(x + 1, g.order) if not mask >> coset_of[y] & 1)
-            return True
         for x in iter_bits(accepted):
             emit(b_extra, (x,))
         return False
@@ -360,7 +349,6 @@ def case2_search(
     a: Subgroup,
     last: FactorSet,
     middle_sizes: tuple[int, ...],
-    find_all: bool = True,
     budget_s: float | None = None,
     threads: int = 1,
 ) -> SearchReport:
@@ -382,10 +370,10 @@ def case2_search(
     ``_block_masks`` with B's rows, base A*B*D and a full union.
 
     The work is one chunk per least non-identity B element.  The chunks run
-    in this process, or, for a find-all search with more than one chunk, in
-    ``threads`` forked worker processes; either way the results merge in
-    chunk order and stop at the first chunk that ran out of budget or, in
-    find-first mode, found a solution.  Counts and answers therefore do not
+    in this process, or, when there is more than one, in a pool of forked
+    worker processes, ``threads`` of them at most and never more than the
+    chunks; either way the results merge in chunk order and stop at the
+    first chunk that ran out of budget.  Counts and answers therefore do not
     depend on ``threads``, and the budget is honoured at any thread count."""
     g = a.group
     if last.group is not g:
@@ -402,7 +390,7 @@ def case2_search(
     chunks = range(len(w_free) if sizes[0] > 1 else 1)
     yd_masks = _coset_masks(g, last, coset_of)
     meet = _meet_sets(g, yd_masks, g.order // len(a), [0] + w_free) if len(sizes) == 2 else {}
-    ctx = _Case2(a, last, sizes, w_free, coset_of, yd_masks, meet, find_all, deadline.limit)
+    ctx = _Case2(a, last, sizes, w_free, yd_masks, meet, deadline.limit)
 
     b_size = sizes[0]
     space = comb(len(w_free), b_size - 1)
@@ -410,14 +398,14 @@ def case2_search(
         space *= comb(g.order - len(a) * b_size * len(last), sizes[1] - 1)
 
     pool = None
-    if find_all and threads > 1 and len(chunks) > 1:
+    if threads > 1 and len(chunks) > 1:
         # only a forked run pays for importing the pool
         from concurrent.futures import ProcessPoolExecutor
         import multiprocessing
 
         fork = multiprocessing.get_context("fork")
         # under fork the initializer and its argument are inherited, not pickled
-        pool = ProcessPoolExecutor(max_workers=threads, mp_context=fork,
+        pool = ProcessPoolExecutor(max_workers=min(threads, len(chunks)), mp_context=fork,
                                    initializer=_WORKER_CTX.append, initargs=(ctx,))
     examined = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
@@ -426,13 +414,13 @@ def case2_search(
         for exa, part, budget_hit in results:
             examined += exa
             raw.extend(part)
-            if budget_hit or (part and not find_all):
-                deadline.hit = budget_hit
+            if budget_hit:
+                deadline.hit = True
                 break
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return _report("case2", g, (len(a),) + sizes + (len(last),), deadline, raw, find_all,
+    return _report("case2", g, (len(a),) + sizes + (len(last),), deadline, raw, True,
                    candidate_space=space, candidates_examined=examined)
 
 
@@ -440,20 +428,12 @@ def case2_search_reversed(
     first: FactorSet,
     d: Subgroup,
     middle_sizes: tuple[int, ...],
-    find_all: bool = True,
     budget_s: float | None = None,
     threads: int = 1,
 ) -> SearchReport:
     """Set anchored first, subgroup last: run the reversed task (subgroup
     first) and reverse every solution back."""
-    report = case2_search(
-        d,
-        first.inverse(),
-        tuple(reversed(middle_sizes)),
-        find_all=find_all,
-        budget_s=budget_s,
-        threads=threads,
-    )
+    report = case2_search(d, first.inverse(), tuple(reversed(middle_sizes)), budget_s=budget_s, threads=threads)
     return replace(
         report,
         pattern=(len(first),) + tuple(middle_sizes) + (len(d),),
@@ -497,7 +477,6 @@ def case3_search(
     c_size: int,
     find_all: bool = False,
     budget_s: float | None = None,
-    max_solutions: int | None = None,
 ) -> SearchReport:
     """Enumerate B over a punctured transversal; for each B with A*B*D
     distinct, hunt a C of compatible elements whose blocks A*B*x*D exactly
@@ -533,16 +512,12 @@ def case3_search(
             continue
         builds += 1
         graph = case3_build_graph(b_set, d, yd_masks)
-        limit = None if find_all else 1
-        if find_all and max_solutions is not None:
-            limit = max_solutions - len(raw)
-        for combo in exact_covers(graph.masks, len(reps), s, limit):
+        for combo in exact_covers(graph.masks, len(reps), s, first=not find_all):
             c_set = tuple(sorted(graph.vertices[i] for i in combo))
             raw.append((a.indices, b_set.indices, c_set, d.indices))
-        if raw and (not find_all or max_solutions is not None and len(raw) >= max_solutions):
+        if raw and not find_all:
             break
     return _report("case3", g, (len(a), b_size, c_size, len(d)), deadline, raw, find_all,
-                   capped=max_solutions is not None and len(raw) >= max_solutions,
                    candidate_space=space, candidates_examined=examined, graph_builds=builds)
 
 
@@ -717,7 +692,7 @@ def _scan_block_cover(
             # so A*B is always distinct
             b_set = FactorSet(group, tuple(sorted((0,) + extra)))
             graph = case3_build_graph(b_set, d_set, yd_masks)
-            for combo in exact_covers(graph.masks, len(reps), c_size, limit=1):
+            for combo in exact_covers(graph.masks, len(reps), c_size, first=True):
                 c_set = tuple(sorted(graph.vertices[i] for i in combo))
                 cert = certificate(group, (a.indices, b_set.indices, c_set, d_set.indices))
                 if cert.verify().valid:
@@ -771,7 +746,7 @@ def refute(
         strategy = "coset-parity" if len(pattern) == 3 else "block-cover"
         total = 0
         notes = ""
-        best: tuple[str, Certificate | None] = ("NONE", None)
+        best = "NONE"
         for a_rep in involution_class_reps(group):
             if len(pattern) == 3:
                 verdict, examined, cert = _scan_parity(group, a_rep, pattern[1], deadline)
@@ -792,8 +767,8 @@ def refute(
             if verdict == "FOUND":
                 return RefutationRecord(pattern, "FOUND", strategy, total, cert, deadline.elapsed(), notes=notes)
             if verdict == "UNKNOWN":
-                best = ("UNKNOWN", None)
-        return RefutationRecord(pattern, best[0], strategy, total, None, deadline.elapsed(), notes=notes)
+                best = "UNKNOWN"
+        return RefutationRecord(pattern, best, strategy, total, None, deadline.elapsed(), notes=notes)
     if strategy == "generic" or group.order <= cap_generic:
         cap = max(cap_generic, group.order) if strategy == "generic" else cap_generic
         report = generic_search(group, pattern, find_all=False, budget_s=budget_s, cap=cap)

@@ -1,6 +1,7 @@
-"""Every name a factorix module imports is used in that module, no module
-imports another's private (underscore) names, and the CLI imports no
-module that only some commands need."""
+"""Every name a factorix module imports is used in that module, every
+parameter of a factorix function is read, no module imports another's
+private (underscore) names, and the CLI imports no module that only some
+commands need."""
 from __future__ import annotations
 
 import ast
@@ -44,6 +45,37 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """The parameters (``self`` and ``cls`` aside) that their function's
+    body, nested functions included, never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}({a.arg}) (line {node.lineno})" for a in params
+                if a.arg not in ("self", "cls") and a.arg not in read]
+    return out
+
+
+def test_detects_an_unused_parameter():
+    source = ("def f(self, a, b, *rest, c=1, **kw):\n    def g(d):\n        return a + c\n"
+              "    return g, lambda e, h: h, kw\n")
+    assert unused_parameters(source) == [
+        "f(b) (line 1)", "f(rest) (line 1)", "g(d) (line 2)", "<lambda>(e) (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 def private_imports(source: str) -> list[str]:

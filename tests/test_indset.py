@@ -74,13 +74,9 @@ def test_find_first_and_limit():
     masks = [1 << (i % 4) for i in range(12)]  # three copies of each position
     every = exact_covers(masks, 4, 4)
     assert len(every) == 3 ** 4
-    first = exact_covers(masks, 4, 4, limit=1)
+    first = exact_covers(masks, 4, 4, first=True)
     assert len(first) == 1 and first[0] in every
-    four = exact_covers(masks, 4, 4, limit=4)
-    assert len(four) == 4 and set(four) <= set(every) and four == sorted(four)
-    assert first[0] in four
-    assert exact_covers(masks, 4, 4, limit=1000) == every
-    assert exact_covers(masks, 4, 4, limit=0) == []
+    assert exact_covers(masks, 4, 3, first=True) == []
 
 
 def test_size_zero_and_empty():
@@ -121,4 +117,4 @@ def test_deterministic(a4):
     c3 = next(x for x in range(a4.order) if a4.element_orders[x] == 3)
     masks, n = case3_blocks(a4, tuple(sorted(a4.closure_indices([c3]))), (0,), (0,))
     assert exact_covers(masks, n, 4) == exact_covers(list(masks), n, 4)
-    assert exact_covers(masks, n, 4, limit=5) == exact_covers(masks, n, 4, limit=5)
+    assert exact_covers(masks, n, 4, first=True) == exact_covers(list(masks), n, 4, first=True)

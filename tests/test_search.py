@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import json
 import os
 import subprocess
 import sys
@@ -80,24 +79,24 @@ def test_case1_empty_space_is_exhaustive(s4):
     assert rep.exhaustive
 
 
-def test_find_first_without_solution_is_exhaustive(s4):
-    """A find-first search that finds nothing within its budget covered its
-    whole space; only a budget or a solution cap makes a report partial."""
-    rep = case1_search(sub(s4, "(1,2)"), sub(s4, "(3,4)"), (3, 2), find_all=False)
+def test_find_first_without_solution_is_exhaustive(s3, a4, s4):
+    """``exhaustive`` means the whole space was searched: a find-first
+    search (case3, generic) that finds nothing within its budget is
+    exhaustive, and one that stops at its first solution is not."""
+    a = sub(s4, "(1,2)")
+    rep = case3_search(a, fs(s4, "()", "(3,4)"), 3, 2, find_all=False)
     assert rep.solution_count == 0 and not rep.budget_hit
-    assert rep.candidates_examined == rep.candidate_space == 450
+    assert rep.candidates_examined == rep.candidate_space == 45
     assert rep.exhaustive
-    rep = case2_search(sub(s4, "(1,2)"), fs(s4, "()", "(3,4)"), (6,), find_all=False)
+    rep = generic_search(a4, (2, 3, 2), find_all=False)
     assert rep.solution_count == 0 and not rep.budget_hit
     assert rep.exhaustive
-
-
-def test_case1_find_first(s4):
-    rep = case1_search(sub(s4, "(1,2)"), sub(s4, "(1,2)(3,4)"), (3, 2), find_all=False)
-    assert rep.solution_count == 1
-    assert rep.solutions[0].is_verified
-    assert rep.exhaustive
-    assert rep.candidates_examined < rep.candidate_space
+    rep = case3_search(a, fs(s4, "()", "(1,2)(3,4)"), 3, 2, find_all=False)
+    assert rep.solution_count == 1 and rep.candidates_examined < rep.candidate_space
+    assert not rep.exhaustive and not rep.budget_hit
+    rep = generic_search(s3, (2, 3), find_all=False)
+    assert rep.solution_count == 1 and not rep.budget_hit
+    assert not rep.exhaustive
 
 
 def test_case1_budget(s4):
@@ -169,8 +168,6 @@ def test_case2_threads_agree(s4):
 def test_case2_find_first_and_budget(s4):
     a = sub(s4, "(1,2)")
     last = fs(s4, "()", "(1,2)(3,4)")
-    first = case2_search(a, last, (6,), find_all=False)
-    assert first.solution_count == 1 and first.exhaustive
     starved = case2_search(a, last, (6,), budget_s=0.0)
     assert starved.budget_hit and not starved.exhaustive and not starved.solutions
 
@@ -226,68 +223,40 @@ def catalog_case2(cat, search_id, **kwargs):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("search_id, find_all, examined, solutions", [
-    ("search-lemma-3.5", True, 8, 8),
-    ("search-lemma-3.5", False, 1, 1),
-    ("search-lemma-4.4", True, 206640, 144),
-    ("search-lemma-4.4", False, 417, 1),
-    ("search-lemma-4.7", True, 30780, 288),
-    ("search-lemma-4.7", False, 6, 1),
-    ("search-lemma-3.3", False, 2635, 1),
-    ("search-lemma-3.3", True, 3890880, 24),
+@pytest.mark.parametrize("search_id, examined, solutions", [
+    # fixed ids keep each row's name stable in test reports
+    pytest.param("search-lemma-3.5", 8, 8, id="search-lemma-3.5-True-8-8"),
+    pytest.param("search-lemma-4.4", 206640, 144, id="search-lemma-4.4-True-206640-144"),
+    pytest.param("search-lemma-4.7", 30780, 288, id="search-lemma-4.7-True-30780-288"),
+    pytest.param("search-lemma-3.3", 3890880, 24, id="search-lemma-3.3-True-3890880-24"),
 ])
-def test_case2_counters_pinned(cat, threads, search_id, find_all, examined, solutions):
-    rep = catalog_case2(cat, search_id, find_all=find_all, threads=threads)
+def test_case2_counters_pinned(cat, threads, search_id, examined, solutions):
+    rep = catalog_case2(cat, search_id, threads=threads)
     assert (rep.candidates_examined, rep.solution_count) == (examined, solutions)
     assert rep.exhaustive and not rep.budget_hit
 
 
-def test_case2_find_first_parallel_matches_serial(cat):
-    one = catalog_case2(cat, "search-lemma-4.4", find_all=False, threads=1)
-    two = catalog_case2(cat, "search-lemma-4.4", find_all=False, threads=2)
+def test_case2_forks_no_more_workers_than_chunks(a4, monkeypatch):
+    """A fork pool starts all of its workers at once, so a search with two
+    chunks forks two workers however many ``threads`` it may use."""
+    import concurrent.futures
+
+    workers = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    a = sub(a4, "(1,2,3)")
+    last = fs(a4, "()", "(1,2)(3,4)")
+    serial = case2_search(a, last, (2,))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    forked = case2_search(a, last, (2,), threads=3)
     key = lambda c: tuple(f.indices for f in c.factors)
-    assert [key(c) for c in two.solutions] == [key(c) for c in one.solutions]
-    assert two.candidates_examined == one.candidates_examined == 417
-
-
-def test_case2_find_first_parallel_stops_running_chunks(cat):
-    """Find-first runs in this process at any thread count, so it stops
-    at the first chunk with a solution and runs no chunk above it."""
-    one = catalog_case2(cat, "search-lemma-3.3", find_all=False, threads=1)
-    two = catalog_case2(cat, "search-lemma-3.3", find_all=False, threads=2)
-    key = lambda c: tuple(f.indices for f in c.factors)
-    assert [key(c) for c in two.solutions] == [key(c) for c in one.solutions]
-    assert two.candidates_examined == one.candidates_examined == 2635
-    # waiting for the running chunks took about 0.4 s on a 2-core machine
-    assert two.wall_s < 0.25
-
-
-FIND_FIRST_PROBE = """
-import json, sys
-from factorix.catalog import open_catalog
-from factorix.search import case2_search
-cat = open_catalog()
-spec = cat.search("search-lemma-3.3")
-group = cat.group(spec["group"])
-rep = case2_search(cat.anchor(group, spec["first"]), cat.anchor(group, spec["last"]),
-                   tuple(spec["middle"]), find_all=False, threads=2)
-print(json.dumps([rep.candidates_examined, [[f.indices for f in c.factors] for c in rep.solutions],
-                  "multiprocessing" in sys.modules]))
-"""
-
-
-def test_case2_find_first_forks_no_pool(cat):
-    """Find-first at two threads gives the serial answer and counters
-    without importing the process pool."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # this test's factorix
-    proc = subprocess.run([sys.executable, "-c", FIND_FIRST_PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    examined, solutions, imported = json.loads(proc.stdout)
-    serial = catalog_case2(cat, "search-lemma-3.3", find_all=False, threads=1)
-    assert solutions == [[list(f.indices) for f in c.factors] for c in serial.solutions]
-    assert examined == serial.candidates_examined == 2635
-    assert not imported
+    assert workers == [2]
+    assert [key(c) for c in forked.solutions] == [key(c) for c in serial.solutions]
+    assert serial.solution_count == 2
 
 
 @pytest.mark.parametrize("middle, counts", [((4,), [8, 2, 8, 0]), ((2, 2), [48, 16, 20, 0])])
@@ -466,10 +435,8 @@ def test_case3_counts_transversals(a4):
 def test_case3_caps_and_find_first(a4):
     a = sub(a4, "(1,2,3)")
     d = FactorSet(a4, (0,))
-    capped = case3_search(a, d, 1, 4, find_all=True, max_solutions=10)
-    assert capped.solution_count == 10 and not capped.exhaustive
     first = case3_search(a, d, 1, 4, find_all=False)
-    assert first.solution_count == 1 and first.exhaustive
+    assert first.solution_count == 1 and not first.exhaustive and not first.budget_hit
     starved = case3_search(a, d, 1, 4, budget_s=0.0)
     assert starved.budget_hit and not starved.exhaustive
 
