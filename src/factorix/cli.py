@@ -74,10 +74,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     cat = open_catalog(args.catalog)
-    res = run_search(
-        cat, args.search_id, threads=args.threads, budget_s=args.budget,
-        find_all=args.find_all, with_solutions=True,
-    )
+    res = run_search(cat, args.search_id, threads=args.threads, budget_s=args.budget, with_solutions=True)
     if args.json:
         _print_json({"command": "search", "version": __version__, **res})
     else:
@@ -202,9 +199,6 @@ _FLAGS: dict[str, dict] = {
                      help="wall clock budget, overriding any catalog default"),
     "--cap-generic": dict(type=int, default=60, metavar="N",
                           help="largest group order the generic engine will accept"),
-    "--find-all": dict(action="store_true",
-                       help="case3: enumerate every solution instead of stopping at the first "
-                            "(the other engines always enumerate)"),
     "--strategy": dict(choices=("auto", "generic", "reduction"), default=None,
                        help="refutation strategy, overriding any catalog entry's (default: the "
                             "entry's, else auto)"),
@@ -235,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="run a catalog search and check its expectations")
     p.add_argument("search_id", help="catalog search id")
-    _add_flags(p, "--threads", "--budget", "--find-all")
+    _add_flags(p, "--threads", "--budget")
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("refute", help="show a pattern admits no factorization")

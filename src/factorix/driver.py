@@ -173,14 +173,13 @@ def run_search(
     search_id: str,
     threads: int = 1,
     budget_s: float | None = None,
-    find_all: bool = False,
     with_solutions: bool = False,
 ) -> dict:
     """Run one catalog search entry and compare against its expectations.
 
-    The counting engines (case1, case2) always enumerate everything;
-    ``find_all`` makes case3 do so too in place of stopping at its first
-    solution.  ``threads`` bounds the forked workers of a case2 search.
+    The counting engines (case1, case2) always enumerate everything; case3
+    stops at its first solution.  ``threads`` bounds the forked workers of
+    a case2 search.
     """
     spec = cat.search(search_id)
     group = cat.group(spec["group"])
@@ -191,7 +190,7 @@ def run_search(
     if engine == "case1":
         rep = case1_search(first, last, tuple(spec["middle"]), budget_s=budget)
     elif engine == "case3":
-        rep = case3_search(first, last, spec["b_size"], spec["c_size"], find_all=find_all, budget_s=budget)
+        rep = case3_search(first, last, spec["b_size"], spec["c_size"], budget_s=budget)
     else:
         engine_search = case2_search if engine == "case2" else case2_search_reversed
         rep = engine_search(first, last, tuple(spec["middle"]), budget_s=budget, threads=threads)

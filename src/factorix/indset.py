@@ -6,9 +6,8 @@ right A-cosets, a mask over the |G|/|A| coset positions, and the engines
 want independent sets (pairwise disjoint blocks) of size s, where
 s*|B||D| = |G|/|A|.  s disjoint blocks of |B||D| cosets cover all |G|/|A|
 cosets exactly once, and an exact cover by s blocks is s disjoint blocks, so
-these independent sets are exactly the exact covers by s blocks.  Its
-callers want every cover (a find-all case3 search) or the first one (a
-find-first case3 search and the block-cover scan).
+these independent sets are exactly the exact covers by s blocks.  Both
+callers want one cover per graph, so the kernel stops at the first.
 """
 
 from __future__ import annotations
@@ -19,34 +18,29 @@ from operator import or_
 from .group import iter_bits
 
 
-def exact_covers(
+def exact_cover(
     masks: list[int] | tuple[int, ...],
     n_positions: int,
     size: int,
-    first: bool = False,
-) -> list[tuple[int, ...]]:
-    """The sets of ``size`` blocks (masks: non-empty sets of positions) that
-    partition the positions 0..n_positions-1, as a sorted list of sorted
-    index tuples: all of them, or with ``first`` only the first one found
-    (an empty list when there is none).  Branches on the uncovered position
+) -> tuple[int, ...] | None:
+    """The first set of ``size`` blocks (masks: non-empty sets of positions)
+    found that partitions the positions 0..n_positions-1, as a sorted index
+    tuple, or None when there is none.  Branches on the uncovered position
     with the fewest fitting blocks (ties: the lowest position), trying them
     in index order."""
     full = (1 << n_positions) - 1
     if full & ~reduce(or_, masks, 0):
-        return []  # a position that no block holds admits no cover
+        return None  # a position that no block holds admits no cover
     holders = [0] * n_positions  # per position: the blocks containing it
     for i, m in enumerate(masks):
         while m:
             low = m & -m
             holders[low.bit_length() - 1] |= 1 << i
             m ^= low
-    out: list[tuple[int, ...]] = []
 
-    def search(covered: int, live: int, chosen: tuple[int, ...]) -> bool:
+    def search(covered: int, live: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
         if len(chosen) == size:
-            if covered == full:
-                out.append(tuple(sorted(chosen)))
-            return first and bool(out)
+            return tuple(sorted(chosen)) if covered == full else None
         fewest, cands = None, 0
         for p in iter_bits(full ^ covered):
             fit = holders[p] & live
@@ -58,9 +52,9 @@ def exact_covers(
             clash = 0  # the blocks sharing a position with block i
             for p in iter_bits(masks[i]):
                 clash |= holders[p]
-            if search(covered | masks[i], live & ~clash, chosen + (i,)):
-                return True
-        return False
+            found = search(covered | masks[i], live & ~clash, chosen + (i,))
+            if found is not None:
+                return found
+        return None
 
-    search(0, (1 << len(masks)) - 1, ())
-    return sorted(out)
+    return search(0, (1 << len(masks)) - 1, ())

@@ -26,28 +26,29 @@ accepted x at once off element bitsets (``_meet_sets``).
 A generic normalized backtracker handles any pattern on small groups, and
 ``refute`` adds algebraic reductions for 2-...-2 patterns; the 2-b-c-2
 block-cover scan runs the same exact-cover kernel, and its completed
-results are reused across a reversal class.  Every emitted certificate
-passes the verifier before it is reported; engines never trust their own
-constructions.
+results are reused across a reversal class.  Engines never trust their
+own constructions: each hands raw index tuples to one verify step
+(``_sorted_certs``), so every reported certificate is verified once.
 
 Case1 and case2 count, so they always enumerate every solution; case3
-and the generic engine stop at their first solution unless ``find_all``
-is set.  A report is ``exhaustive`` exactly when the whole space was
-searched: the budget held, and a find-first search found nothing.
+and the block-cover scan want one exact cover, and the generic engine
+stops at its first solution unless ``find_all`` is set.  A report is
+``exhaustive`` exactly when the whole space was searched: the budget
+held, and a search that stops at its first solution found nothing.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 import weakref
 
-from .certify import Certificate, certificate, divisibility_prune, reverse
+from .certify import Certificate, certificate, divisibility_prune
 from .group import FactorSet, GroupTable, bits_of, iter_bits
-from .indset import exact_covers
+from .indset import exact_cover
 from .structure import Subgroup, cosets, subgroup_from_indices
 
 
@@ -63,7 +64,6 @@ class SearchReport:
     candidates_examined: int
     solutions: tuple[Certificate, ...]
     exhaustive: bool
-    find_all: bool
     graph_builds: int = 0
     wall_s: float = 0.0
     notes: str = ""
@@ -120,19 +120,22 @@ def _sorted_certs(group: GroupTable, raw: list[tuple[tuple[int, ...], ...]]) -> 
 
 
 def _report(engine: str, group: GroupTable, pattern: tuple[int, ...], deadline: _Deadline,
-            raw: list[tuple[tuple[int, ...], ...]], find_all: bool, **counts) -> SearchReport:
+            raw: list[tuple[tuple[int, ...], ...]], enumerates: bool, **counts) -> SearchReport:
     """The report every engine ends with: its raw answers verified and
     sorted, its counters, and the wall time (verification included) and
     budget flag of its deadline.  It is exhaustive when the whole space
-    was searched: the budget held, and a find-first search found nothing."""
+    was searched: the budget held, and unless the engine ``enumerates``
+    every solution, it found nothing."""
     return SearchReport(engine=engine, pattern=tuple(pattern), solutions=_sorted_certs(group, raw),
-                        exhaustive=not deadline.hit and (find_all or not raw), find_all=find_all,
+                        exhaustive=not deadline.hit and (enumerates or not raw),
                         wall_s=deadline.elapsed(), budget_hit=deadline.hit, **counts)
 
 
-def _reversed_certs(group: GroupTable, certs) -> tuple[Certificate, ...]:
-    """Reverse the answers of a reversed task, re-verified and sorted."""
-    return _sorted_certs(group, [tuple(f.indices for f in reverse(c).factors) for c in certs])
+def _reversed_indices(group: GroupTable, factors: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The raw answer of the reversed task: G = A1...Ak gives
+    G = Ak^-1 ... A1^-1, each factor's inverses sorted."""
+    inv = group.inv
+    return tuple(tuple(sorted(inv[x] for x in f)) for f in reversed(factors))
 
 
 def _right_cosets(h: Subgroup, anchor: FactorSet, side: str = "right") -> tuple[list[int], list[int], list[int]]:
@@ -345,17 +348,14 @@ def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[i
     return examined, raw, budget_hit
 
 
-def case2_search(
-    a: Subgroup,
-    last: FactorSet,
-    middle_sizes: tuple[int, ...],
-    budget_s: float | None = None,
-    threads: int = 1,
-) -> SearchReport:
-    """Enumerate G = A*B*D or A*B*C*D with subgroup A first and the set D
-    anchored last.  B runs over punctured-transversal subsets with coset
-    prefix pruning: w joins B only when w*D meets |D| cosets that A*B*D
-    does not yet meet.  Every x outside A*B*D counts as examined.
+def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadline: _Deadline,
+                     threads: int) -> tuple[list[tuple[tuple[int, ...], ...]], int, int]:
+    """The case2 core: enumerate G = A*B*D or A*B*C*D with subgroup A first
+    and the set D anchored last, returning the raw answers, the candidate
+    space and the candidates examined.  B runs over punctured-transversal
+    subsets with coset prefix pruning: w joins B only when w*D meets |D|
+    cosets that A*B*D does not yet meet.  Every x outside A*B*D counts as
+    examined.
 
     C = {e, x} is read off element bitsets.  T[w][p] (``_meet_sets``) holds
     the x with w*x*D meeting right A-coset p; the recursion carries U[p],
@@ -380,12 +380,10 @@ def case2_search(
         raise AnchorInvalid("anchors live in different groups")
     if not last.contains_identity():
         raise AnchorInvalid("last-factor anchor must contain the identity")
-    sizes = tuple(middle_sizes)
     if not sizes or sizes[1:] not in ((), (2,)):
         raise AnchorInvalid("case2 supports the middle sizes (b,) and (b,2) only")
     if len(a) * prod(sizes) * len(last) != g.order:
         raise AnchorInvalid("pattern does not multiply to the group order")
-    deadline = _Deadline(budget_s)
     _, coset_of, w_free = _right_cosets(a, last)
     chunks = range(len(w_free) if sizes[0] > 1 else 1)
     yd_masks = _coset_masks(g, last, coset_of)
@@ -420,7 +418,22 @@ def case2_search(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return _report("case2", g, (len(a),) + sizes + (len(last),), deadline, raw, True,
+    return raw, space, examined
+
+
+def case2_search(
+    a: Subgroup,
+    last: FactorSet,
+    middle_sizes: tuple[int, ...],
+    budget_s: float | None = None,
+    threads: int = 1,
+) -> SearchReport:
+    """Every G = A*B*D or A*B*C*D with subgroup A first and the set D
+    anchored last (``_case2_enumerate``), verified."""
+    deadline = _Deadline(budget_s)
+    sizes = tuple(middle_sizes)
+    raw, space, examined = _case2_enumerate(a, last, sizes, deadline, threads)
+    return _report("case2", a.group, (len(a),) + sizes + (len(last),), deadline, raw, True,
                    candidate_space=space, candidates_examined=examined)
 
 
@@ -431,15 +444,16 @@ def case2_search_reversed(
     budget_s: float | None = None,
     threads: int = 1,
 ) -> SearchReport:
-    """Set anchored first, subgroup last: run the reversed task (subgroup
-    first) and reverse every solution back."""
-    report = case2_search(d, first.inverse(), tuple(reversed(middle_sizes)), budget_s=budget_s, threads=threads)
-    return replace(
-        report,
-        pattern=(len(first),) + tuple(middle_sizes) + (len(d),),
-        solutions=_reversed_certs(d.group, report.solutions),
-        notes="ran as the reversed task " + str(report.pattern),
-    )
+    """Set anchored first, subgroup last: enumerate the reversed task
+    (subgroup first) and reverse every raw answer back before it is
+    verified."""
+    deadline = _Deadline(budget_s)
+    sizes = tuple(reversed(middle_sizes))
+    raw, space, examined = _case2_enumerate(d, first.inverse(), sizes, deadline, threads)
+    return _report("case2", d.group, (len(first),) + tuple(middle_sizes) + (len(d),), deadline,
+                   [_reversed_indices(d.group, factors) for factors in raw], True,
+                   candidate_space=space, candidates_examined=examined,
+                   notes="ran as the reversed task " + str((len(d),) + sizes + (len(first),)))
 
 
 # ---------------------------------------------------------------- case 3
@@ -475,12 +489,12 @@ def case3_search(
     d: FactorSet,
     b_size: int,
     c_size: int,
-    find_all: bool = False,
     budget_s: float | None = None,
 ) -> SearchReport:
     """Enumerate B over a punctured transversal; for each B with A*B*D
-    distinct, hunt a C of compatible elements whose blocks A*B*x*D exactly
-    cover the right A-cosets, so |A||B||C||D| = |G|.  A*B*D is distinct
+    distinct, until one succeeds, hunt a C of compatible elements whose
+    blocks A*B*x*D exactly cover the right A-cosets, so |A||B||C||D| = |G|
+    (the first cover ``exact_cover`` finds).  A*B*D is distinct
     exactly when x = e passes the block test (``_block_masks``) with |B||D|
     cosets: the masks of b*D, b in B, are pairwise disjoint with |D| bits
     each."""
@@ -512,12 +526,11 @@ def case3_search(
             continue
         builds += 1
         graph = case3_build_graph(b_set, d, yd_masks)
-        for combo in exact_covers(graph.masks, len(reps), s, first=not find_all):
-            c_set = tuple(sorted(graph.vertices[i] for i in combo))
-            raw.append((a.indices, b_set.indices, c_set, d.indices))
-        if raw and not find_all:
+        cover = exact_cover(graph.masks, len(reps), s)
+        if cover is not None:
+            raw.append((a.indices, b_set.indices, tuple(sorted(graph.vertices[i] for i in cover)), d.indices))
             break
-    return _report("case3", g, (len(a), b_size, c_size, len(d)), deadline, raw, find_all,
+    return _report("case3", g, (len(a), b_size, c_size, len(d)), deadline, raw, False,
                    candidate_space=space, candidates_examined=examined, graph_builds=builds)
 
 
@@ -624,10 +637,11 @@ def _involutions(group: GroupTable) -> list[int]:
     return [x for x in range(group.order) if group.element_orders[x] == 2]
 
 
-def _scan_parity(group: GroupTable, a_rep: int, m: int, deadline: _Deadline) -> tuple[str, int, Certificate | None]:
+def _scan_parity(group: GroupTable, a_rep: int, m: int,
+                 deadline: _Deadline) -> tuple[str, int, tuple[tuple[int, ...], ...] | None]:
     """Pattern (2, m, 2): a factorization exists for last factor {e, d} iff
     every cycle of pi_d on the right-A cosets is even; build one by
-    alternating along the cycles."""
+    alternating along the cycles (its raw factors, verified by ``refute``)."""
     a = subgroup_from_indices(group, (0, a_rep))
     n_pos = group.order // 2
     if 2 * m != n_pos:
@@ -660,11 +674,7 @@ def _scan_parity(group: GroupTable, a_rep: int, m: int, deadline: _Deadline) -> 
             chosen.extend(cyc[i] for i in range(offset, len(cyc), 2))
         if not feasible:
             continue
-        b_set = tuple(sorted(reps[j] for j in chosen))
-        cert = certificate(group, (a.indices, b_set, (0, d)))
-        if cert.verify().valid:
-            return "FOUND", examined, cert
-        raise AssertionError("parity construction failed verification")
+        return "FOUND", examined, (a.indices, tuple(sorted(reps[j] for j in chosen)), (0, d))
     return "NONE", examined, None
 
 
@@ -674,10 +684,11 @@ def _scan_block_cover(
     b_size: int,
     c_size: int,
     deadline: _Deadline,
-) -> tuple[str, int, Certificate | None]:
+) -> tuple[str, int, tuple[tuple[int, ...], ...] | None]:
     """Pattern (2, b, c, 2): for each involution d and each candidate B of
     coset representatives containing e, a factorization exists iff c blocks
-    of the compatibility graph exactly cover the right A-cosets."""
+    of the compatibility graph exactly cover the right A-cosets.  The first
+    one found is returned as raw factors, verified by ``refute``."""
     a = subgroup_from_indices(group, (0, a_rep))
     reps, coset_of = cosets(a)
     examined = 0
@@ -692,18 +703,17 @@ def _scan_block_cover(
             # so A*B is always distinct
             b_set = FactorSet(group, tuple(sorted((0,) + extra)))
             graph = case3_build_graph(b_set, d_set, yd_masks)
-            for combo in exact_covers(graph.masks, len(reps), c_size, first=True):
-                c_set = tuple(sorted(graph.vertices[i] for i in combo))
-                cert = certificate(group, (a.indices, b_set.indices, c_set, d_set.indices))
-                if cert.verify().valid:
-                    return "FOUND", examined, cert
-                raise AssertionError("block-cover construction failed verification")
+            cover = exact_cover(graph.masks, len(reps), c_size)
+            if cover is not None:
+                c_set = tuple(sorted(graph.vertices[i] for i in cover))
+                return "FOUND", examined, (a.indices, b_set.indices, c_set, d_set.indices)
     return "NONE", examined, None
 
 
-# Completed block-cover scans (NONE or FOUND) per group, keyed by (a_rep,
-# smaller middle, larger middle): (2, b, c, 2) with b > c is scanned as its
-# reversal (2, c, b, 2), the same scan.  A scan cut short is never kept.
+# Completed block-cover scans (NONE or FOUND, with the raw factors found) per
+# group, keyed by (a_rep, smaller middle, larger middle): (2, b, c, 2) with
+# b > c is scanned as its reversal (2, c, b, 2), the same scan.  A scan cut
+# short is never kept.
 _BLOCK_COVER_SCANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -749,22 +759,23 @@ def refute(
         best = "NONE"
         for a_rep in involution_class_reps(group):
             if len(pattern) == 3:
-                verdict, examined, cert = _scan_parity(group, a_rep, pattern[1], deadline)
+                verdict, examined, raw = _scan_parity(group, a_rep, pattern[1], deadline)
             else:
                 key = (a_rep,) + tuple(sorted(pattern[1:3]))
                 done = _BLOCK_COVER_SCANS.setdefault(group, {})
                 if key in done:
                     notes = f"reused the completed block-cover scan of (2, {key[1]}, {key[2]}, 2)"
-                verdict, examined, cert = done.get(key) or _scan_block_cover(group, *key, deadline)
+                verdict, examined, raw = done.get(key) or _scan_block_cover(group, *key, deadline)
                 if verdict != "UNKNOWN":
-                    done[key] = (verdict, examined, cert)
+                    done[key] = (verdict, examined, raw)
                 if pattern[1] > pattern[2]:
                     # the reversed pattern was scanned: smaller middle first
-                    if cert is not None:
-                        cert = _reversed_certs(group, [cert])[0]
+                    if raw is not None:
+                        raw = _reversed_indices(group, raw)
                     strategy = "block-cover (reversed)"
             total += examined
             if verdict == "FOUND":
+                cert = _sorted_certs(group, [raw])[0]
                 return RefutationRecord(pattern, "FOUND", strategy, total, cert, deadline.elapsed(), notes=notes)
             if verdict == "UNKNOWN":
                 best = "UNKNOWN"

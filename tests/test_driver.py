@@ -281,3 +281,26 @@ def test_repro_verifies_each_catalog_certificate_once(monkeypatch):
     res = repro(open_catalog(), "verify")
     assert len(res["rows"]) == 41 and res["pass"]
     assert len(calls) == 41
+
+
+@pytest.mark.parametrize("search_id, solutions", [
+    ("case3-lemma-3.6", 1), ("case3-lemma-4.6", 1), ("search-lemma-3.3", 24),
+    ("search-lemma-3.5", 8), ("search-lemma-4.4", 144), ("search-lemma-4.5", 204),
+    ("search-lemma-4.7", 288),
+])
+def test_run_search_verifies_each_reported_certificate_once(cat, monkeypatch, search_id, solutions):
+    """Every engine hands its raw answers to one verify step, so a search
+    makes one verifier call per reported solution; the reversed case2
+    search reverses raw index tuples and verifies only the reversed ones."""
+    calls = []
+
+    def counting(cert):
+        calls.append(cert)
+        return verify_certificate(cert)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("factorix") and getattr(module, "verify_certificate", None) is verify_certificate:
+            monkeypatch.setattr(module, "verify_certificate", counting)
+    res = run_search(cat, search_id, threads=1, with_solutions=True)
+    assert res["pass"] and len(res["solutions"]) == solutions
+    assert len(calls) == solutions

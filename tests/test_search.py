@@ -64,7 +64,7 @@ def test_case1_matches_brute_force(s4):
     assert rep.candidate_space == 450
     assert rep.solution_count == 56
     assert rep.solution_count == verified_count(s4, case1_candidates(a, d, 3, 2))
-    assert rep.exhaustive and rep.find_all and not rep.budget_hit
+    assert rep.exhaustive and not rep.budget_hit
     seen = set()
     for cert in rep.solutions:
         assert cert.is_verified and cert.is_normalized
@@ -84,14 +84,14 @@ def test_find_first_without_solution_is_exhaustive(s3, a4, s4):
     search (case3, generic) that finds nothing within its budget is
     exhaustive, and one that stops at its first solution is not."""
     a = sub(s4, "(1,2)")
-    rep = case3_search(a, fs(s4, "()", "(3,4)"), 3, 2, find_all=False)
+    rep = case3_search(a, fs(s4, "()", "(3,4)"), 3, 2)
     assert rep.solution_count == 0 and not rep.budget_hit
     assert rep.candidates_examined == rep.candidate_space == 45
     assert rep.exhaustive
     rep = generic_search(a4, (2, 3, 2), find_all=False)
     assert rep.solution_count == 0 and not rep.budget_hit
     assert rep.exhaustive
-    rep = case3_search(a, fs(s4, "()", "(1,2)(3,4)"), 3, 2, find_all=False)
+    rep = case3_search(a, fs(s4, "()", "(1,2)(3,4)"), 3, 2)
     assert rep.solution_count == 1 and rep.candidates_examined < rep.candidate_space
     assert not rep.exhaustive and not rep.budget_hit
     rep = generic_search(s3, (2, 3), find_all=False)
@@ -367,10 +367,10 @@ def test_case2_leaf_accepts_what_block_masks_accepts(leaf_anchor):
 
 
 # Under ``python -O`` an ``assert`` disappears; the reversed paths must still
-# re-verify what they report.  ``reverse`` is replaced by one that corrupts.
+# verify what they report.  The index-tuple reversal ``_reversed_indices`` is
+# replaced by one that corrupts.
 CORRUPT_REVERSE = """
 from factorix import search
-from factorix.certify import Certificate
 from factorix.group import FactorSet, generate_group
 from factorix.perm import parse_cycles
 from factorix.structure import subgroup_from_indices
@@ -380,11 +380,11 @@ def group(degree, *texts):
     return generate_group([parse_cycles(t, degree) for t in texts], degree=degree)
 
 
-def corrupt(cert):
-    return Certificate(cert.group, (cert.factors[0],) * len(cert.factors))
+def corrupt(group, factors):
+    return (factors[0],) * len(factors)
 
 
-search.reverse = corrupt
+search._reversed_indices = corrupt
 """
 
 REVERSED_PATHS = {
@@ -415,27 +415,34 @@ def test_reversed_certificates_checked_under_optimize(path):
 # ---------------------------------------------------------------- case 3
 
 
-def test_case3_counts_transversals(a4):
-    a = sub(a4, "(1,2,3)")
-    d = FactorSet(a4, (0,))
-    rep = case3_search(a, d, 1, 4, find_all=True)
-    assert rep.engine == "case3"
-    assert rep.pattern == (3, 1, 4, 1)
-    assert rep.graph_builds == 1
-    assert rep.candidate_space == 1
-    brute = verified_count(
-        a4,
-        ((a.indices, (0,), c, (0,)) for c in combinations(range(a4.order), 4)),
-    )
-    assert rep.solution_count == brute == 81
-    assert rep.exhaustive
-    assert all(c.is_verified for c in rep.solutions)
+def test_case3_counts_transversals(a4, s4):
+    """case3 finds a verified solution iff the brute force over B and C
+    has one: C a right transversal of A in A4 (81 of them), and none in S4
+    with A = <(1,2)>, D = {e, (3,4)} and sizes (3, 2)."""
+    for a, d, b_size, c_size, want in (
+        (sub(a4, "(1,2,3)"), FactorSet(a4, (0,)), 1, 4, 81),
+        (sub(s4, "(1,2)"), fs(s4, "()", "(3,4)"), 3, 2, 0),
+    ):
+        g = a.group
+        rep = case3_search(a, d, b_size, c_size)
+        assert rep.engine == "case3"
+        assert rep.pattern == (len(a), b_size, c_size, len(d))
+        brute = verified_count(
+            g,
+            ((a.indices, (0,) + b, c, d.indices)
+             for b in combinations(punctured(a, d.indices), b_size - 1)
+             for c in combinations(range(g.order), c_size)),
+        )
+        assert brute == want
+        assert rep.solution_count == min(brute, 1)
+        assert rep.exhaustive == (brute == 0) and not rep.budget_hit
+        assert all(c.is_verified for c in rep.solutions)
 
 
 def test_case3_caps_and_find_first(a4):
     a = sub(a4, "(1,2,3)")
     d = FactorSet(a4, (0,))
-    first = case3_search(a, d, 1, 4, find_all=False)
+    first = case3_search(a, d, 1, 4)
     assert first.solution_count == 1 and not first.exhaustive and not first.budget_hit
     starved = case3_search(a, d, 1, 4, budget_s=0.0)
     assert starved.budget_hit and not starved.exhaustive
@@ -454,12 +461,13 @@ def test_case3_anchor_validation(a4):
 
 
 @pytest.mark.parametrize("group_name, a_gens, d_texts, b_size, c_size, builds", [
-    ("a4", ("(1,2,3)",), ("()", "(1,2)(3,4)"), 2, 1, 2),
-    ("s4", ("(1,2)",), ("()", "(1,2,3,4)"), 3, 2, 28),
-    ("a5", ("(1,2,3,4,5)",), ("()", "(1,2)(3,4)"), 3, 2, 40),
+    ("s4", ("(1,2)",), ("()", "(3,4)"), 3, 2, 24),
+    ("s4", ("(1,2)",), ("()", "(3,4)"), 2, 3, 8),
+    ("a5", ("(1,2)(3,4)",), ("()", "(1,3)(2,4)"), 3, 5, 312),
 ])
 def test_case3_builds_match_product_reference(request, group_name, a_gens, d_texts, b_size, c_size, builds):
-    """A graph is built for exactly the B with A*B*D distinct."""
+    """A graph is built for exactly the B with A*B*D distinct.  Each instance
+    has no solution, so the search visits every B."""
     g = request.getfixturevalue(group_name)
     a = sub(g, *a_gens)
     d = fs(g, *d_texts)
@@ -467,7 +475,9 @@ def test_case3_builds_match_product_reference(request, group_name, a_gens, d_tex
     for extra in combinations(punctured(a, d.indices), b_size - 1):
         ab = product_distinct(a, FactorSet(g, (0,) + extra))
         reference += ab is not None and product_distinct(ab, d) is not None
-    assert case3_search(a, d, b_size, c_size, find_all=True).graph_builds == reference == builds
+    rep = case3_search(a, d, b_size, c_size)
+    assert rep.exhaustive and not rep.solutions
+    assert rep.graph_builds == reference == builds
 
 
 # ---------------------------------------------------------------- generic
