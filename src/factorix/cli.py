@@ -15,7 +15,7 @@ from . import __version__
 from .catalog import CatalogInvalid, UnknownId, open_catalog
 from .certify import MalformedCertificate, load_json, to_dict
 from .driver import RecipeInvalid, multifold, repro, run_refutation, run_search
-from .group import ElementNotInGroup, OrderCapExceeded
+from .group import MAX_ORDER, ElementNotInGroup, OrderCapExceeded
 from .patterns import enumerate_reversal_classes, palindrome_count, word_count
 from .search import AnchorInvalid, refute
 
@@ -134,8 +134,8 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         order = int(args.target)
     except ValueError:
         order = open_catalog(args.catalog).group(args.target).order
-    if order < 1:
-        raise ValueError("group order must be positive")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"group order must be in 1..{MAX_ORDER}")
     classes = enumerate_reversal_classes(order)
     if args.json:
         _print_json({

@@ -1,14 +1,14 @@
 """Exact covers by bitmask blocks: Knuth's Algorithm X (Dancing Links,
-arXiv:cs/0011047) on bitsets, the solver under case3 and the block-cover scan.
+arXiv:cs/0011047) on bitsets, the solver in the one per-B loop that case3
+and the block-cover scan share (``search._first_block_cover``).
 
-There each vertex x of the compatibility graph is a block A*B*x*D of |B||D|
-right A-cosets, a mask over the |G|/|A| coset positions, and the engines
-want independent sets (pairwise disjoint blocks) of size s, where
-s*|B||D| = |G|/|A|.  s disjoint blocks of |B||D| cosets cover all |G|/|A|
-cosets exactly once, and an exact cover by s blocks is s disjoint blocks, so
-these independent sets are exactly the exact covers by s blocks.  Both
-callers want one cover per graph, so the kernel stops at the first.
-"""
+There each block is A*B*x*D for an x whose block meets |B||D| right
+A-cosets, given as a mask over the |G|/|A| coset positions, and the loop
+wants s pairwise disjoint blocks, where s*|B||D| = |G|/|A|.  s disjoint
+blocks of |B||D| cosets cover all |G|/|A| cosets exactly once, and an exact
+cover by s blocks is s disjoint blocks, so these are exactly the exact
+covers by s blocks.  The loop wants one cover per B, so the kernel stops at
+the first."""
 
 from __future__ import annotations
 

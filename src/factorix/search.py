@@ -20,15 +20,16 @@ accepted x at once off element bitsets (``_meet_sets``).
 * case3: subgroup end, fixed set end, one enumerated middle factor; B is
   kept iff x = e passes the block test with |B||D| cosets (A*B*D is then
   distinct), and the remaining factor is an exact cover of the right
-  A-cosets by compatible blocks A*B*x*D, found by the kernel in
+  A-cosets by blocks A*B*x*D of |B||D| cosets, found by the kernel in
   ``factorix.indset``.
 
 A generic normalized backtracker handles any pattern on small groups, and
 ``refute`` adds algebraic reductions for 2-...-2 patterns; the 2-b-c-2
-block-cover scan runs the same exact-cover kernel, and its completed
-results are reused across a reversal class.  Engines never trust their
-own constructions: each hands raw index tuples to one verify step
-(``_sorted_certs``), so every reported certificate is verified once.
+block-cover scan and case3 share one per-B loop (``_first_block_cover``),
+and the scan's completed results are reused across a reversal class.
+Engines never trust their own constructions: each hands raw index tuples
+to one verify step (``_sorted_certs``), so every reported certificate is
+verified once.
 
 Case1 and case2 count, so they always enumerate every solution; case3
 and the block-cover scan want one exact cover, and the generic engine
@@ -129,6 +130,14 @@ def _report(engine: str, group: GroupTable, pattern: tuple[int, ...], deadline: 
     return SearchReport(engine=engine, pattern=tuple(pattern), solutions=_sorted_certs(group, raw),
                         exhaustive=not deadline.hit and (enumerates or not raw),
                         wall_s=deadline.elapsed(), budget_hit=deadline.hit, **counts)
+
+
+def _check_sizes(pattern: tuple[int, ...], order: int) -> None:
+    """Factor sizes are positive and multiply to the group order."""
+    if any(m < 1 for m in pattern):
+        raise AnchorInvalid("factor sizes must be positive")
+    if prod(pattern) != order:
+        raise AnchorInvalid("pattern does not multiply to the group order")
 
 
 def _reversed_indices(group: GroupTable, factors: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -459,29 +468,36 @@ def case2_search_reversed(
 # ---------------------------------------------------------------- case 3
 
 
-@dataclass(frozen=True)
-class CompatibilityGraph:
-    """Vertices are elements x with |A*B*x*D| = |A||B||D|, each with the
-    mask of the right A-cosets its block covers; vertices whose masks meet
-    are adjacent (``factorix.indset`` solves it as an exact cover)."""
-
-    vertices: tuple[int, ...]
-    masks: tuple[int, ...]
-
-
-def case3_build_graph(b: FactorSet, d: FactorSet, yd_masks: list[int]) -> CompatibilityGraph:
-    """``yd_masks[y]`` holds the cosets met by y*D (``_coset_masks``); x is a
-    vertex iff its block mask (``_block_masks``: the masks of b*x, b in B,
-    pairwise disjoint) has |B||D| cosets, i.e. |D| for each b."""
-    g = b.group
-    need = len(b) * len(d)
-    vertices = []
-    masks = []
-    for x, mask in _block_masks([g.row(bb) for bb in b.indices], yd_masks, range(g.order)):
-        if mask.bit_count() == need:
-            vertices.append(x)
-            masks.append(mask)
-    return CompatibilityGraph(tuple(vertices), tuple(masks))
+def _first_block_cover(
+    a: Subgroup, d: FactorSet, b_size: int, c_size: int, b_pool: list[int],
+    yd_masks: list[int], n_cosets: int, deadline: _Deadline,
+) -> tuple[int, int, tuple[tuple[int, ...], ...] | None]:
+    """The per-B loop of case3 and the block-cover scan.  B runs over e plus
+    ``b_size - 1`` elements of ``b_pool``, until the deadline expires, and
+    each B counts as examined.  B is built only when x = e passes the block
+    test (``_block_masks``) with |B||D| cosets, i.e. A*B*D is distinct; the
+    blocks are then the x of G whose block A*B*x*D has |B||D| of the
+    ``n_cosets`` right A-cosets, and C is the first exact cover of the
+    cosets by ``c_size`` of them (``exact_cover``).  Returns (examined,
+    builds, the raw factors of the first factorization found or None)."""
+    g = a.group
+    need = b_size * len(d)
+    examined = builds = 0
+    for b_extra in combinations(b_pool, b_size - 1):
+        if deadline.expired():
+            break
+        examined += 1
+        b = tuple(sorted((0,) + b_extra))
+        rows = [g.row(bb) for bb in b]
+        if not any(mask.bit_count() == need for _, mask in _block_masks(rows, yd_masks, (0,))):
+            continue
+        builds += 1
+        blocks = [(x, mask) for x, mask in _block_masks(rows, yd_masks, range(g.order))
+                  if mask.bit_count() == need]
+        cover = exact_cover([mask for _, mask in blocks], n_cosets, c_size)
+        if cover is not None:
+            return examined, builds, (a.indices, b, tuple(sorted(blocks[i][0] for i in cover)), d.indices)
+    return examined, builds, None
 
 
 def case3_search(
@@ -492,46 +508,24 @@ def case3_search(
     budget_s: float | None = None,
 ) -> SearchReport:
     """Enumerate B over a punctured transversal; for each B with A*B*D
-    distinct, until one succeeds, hunt a C of compatible elements whose
-    blocks A*B*x*D exactly cover the right A-cosets, so |A||B||C||D| = |G|
-    (the first cover ``exact_cover`` finds).  A*B*D is distinct
-    exactly when x = e passes the block test (``_block_masks``) with |B||D|
-    cosets: the masks of b*D, b in B, are pairwise disjoint with |D| bits
-    each."""
+    distinct, until one succeeds, hunt a C whose blocks A*B*x*D exactly
+    cover the right A-cosets, so |A||B||C||D| = |G| (``_first_block_cover``,
+    the loop the block-cover scan runs too)."""
     g = a.group
     if d.group is not g or not d.contains_identity():
         raise AnchorInvalid("last-factor anchor must contain the identity")
     m = len(a) * b_size * len(d)
     if g.order % m:
         raise AnchorInvalid("block size does not divide the group order")
-    s = g.order // m
-    if s != c_size:
+    if g.order // m != c_size:
         raise AnchorInvalid("cover size inconsistent with pattern")
     deadline = _Deadline(budget_s)
     reps, coset_of, w_free = _right_cosets(a, d)
     yd_masks = _coset_masks(g, d, coset_of)
-    need = b_size * len(d)
-    space = comb(len(w_free), b_size - 1)
-
-    examined = 0
-    builds = 0
-    raw: list[tuple[tuple[int, ...], ...]] = []
-    for b_extra in combinations(w_free, b_size - 1):
-        if deadline.expired():
-            break
-        examined += 1
-        b_set = FactorSet(g, tuple(sorted((0,) + b_extra)))
-        b_rows = [g.row(bb) for bb in b_set.indices]
-        if not any(mask.bit_count() == need for _, mask in _block_masks(b_rows, yd_masks, (0,))):
-            continue
-        builds += 1
-        graph = case3_build_graph(b_set, d, yd_masks)
-        cover = exact_cover(graph.masks, len(reps), s)
-        if cover is not None:
-            raw.append((a.indices, b_set.indices, tuple(sorted(graph.vertices[i] for i in cover)), d.indices))
-            break
-    return _report("case3", g, (len(a), b_size, c_size, len(d)), deadline, raw, False,
-                   candidate_space=space, candidates_examined=examined, graph_builds=builds)
+    examined, builds, raw = _first_block_cover(a, d, b_size, c_size, w_free, yd_masks, len(reps), deadline)
+    return _report("case3", g, (len(a), b_size, c_size, len(d)), deadline, [raw] if raw else [], False,
+                   candidate_space=comb(len(w_free), b_size - 1), candidates_examined=examined,
+                   graph_builds=builds)
 
 
 # ---------------------------------------------------------------- generic
@@ -548,8 +542,7 @@ def generic_search(
     the identity, remaining elements ascend, prefix products stay distinct,
     and end factors must generate a subgroup of compatible order."""
     n = group.order
-    if prod(pattern) != n:
-        raise AnchorInvalid("pattern does not multiply to the group order")
+    _check_sizes(pattern, n)
     if n > cap:
         raise AnchorInvalid(f"group order {n} above generic cap {cap}")
     deadline = _Deadline(budget_s)
@@ -685,28 +678,30 @@ def _scan_block_cover(
     c_size: int,
     deadline: _Deadline,
 ) -> tuple[str, int, tuple[tuple[int, ...], ...] | None]:
-    """Pattern (2, b, c, 2): for each involution d and each candidate B of
-    coset representatives containing e, a factorization exists iff c blocks
-    of the compatibility graph exactly cover the right A-cosets.  The first
-    one found is returned as raw factors, verified by ``refute``."""
+    """Pattern (2, b, c, 2): for each involution d, case3's loop
+    (``_first_block_cover``) with A = {e, a_rep}, D = {e, d} and B drawn from
+    the right A-coset representatives; the first factorization found is
+    returned as raw factors, verified by ``refute``.
+
+    The scan is complete.  If G = A*B*C*D, then (A, B*b^-1, b*C, D) for b in
+    B is a factorization too, and replacing each element of B by the least
+    element of its right A-coset keeps A*B; so B holds e and representatives
+    of distinct cosets.  Then (A, B, C*c^-1, c*D*c^-1) for c in C is one with
+    e in C and last factor {e, c*d*c^-1}, another involution.  With e in C,
+    A*B*D is one of the disjoint blocks, so a B whose A*B*D is not distinct
+    has no factorization and is skipped unbuilt."""
     a = subgroup_from_indices(group, (0, a_rep))
     reps, coset_of = cosets(a)
     examined = 0
     for d in _involutions(group):
         d_set = FactorSet(group, (0, d))
         yd_masks = _coset_masks(group, d_set, coset_of)
-        for extra in combinations(reps[1:], b_size - 1):
-            if deadline.expired():
-                return "UNKNOWN", examined, None
-            examined += 1
-            # B is e plus least representatives of distinct right A-cosets,
-            # so A*B is always distinct
-            b_set = FactorSet(group, tuple(sorted((0,) + extra)))
-            graph = case3_build_graph(b_set, d_set, yd_masks)
-            cover = exact_cover(graph.masks, len(reps), c_size)
-            if cover is not None:
-                c_set = tuple(sorted(graph.vertices[i] for i in cover))
-                return "FOUND", examined, (a.indices, b_set.indices, c_set, d_set.indices)
+        count, _, raw = _first_block_cover(a, d_set, b_size, c_size, reps[1:], yd_masks, len(reps), deadline)
+        examined += count
+        if raw is not None:
+            return "FOUND", examined, raw
+        if deadline.hit:
+            return "UNKNOWN", examined, None
     return "NONE", examined, None
 
 
@@ -740,8 +735,7 @@ def refute(
         raise ValueError(f"unknown refutation strategy: {strategy!r}")
     deadline = _Deadline(budget_s)
     pattern = tuple(pattern)
-    if prod(pattern) != group.order:
-        raise AnchorInvalid("pattern does not multiply to the group order")
+    _check_sizes(pattern, group.order)
     two_ended = (
         strategy != "generic"
         and len(pattern) in (3, 4)

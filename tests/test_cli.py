@@ -4,7 +4,9 @@ import argparse
 import copy
 import io
 import json
+import signal
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -262,6 +264,58 @@ def test_patterns_rejects_nonpositive(capsys):
     rc, _, err = run(capsys, "patterns", "0")
     assert rc == 2
     assert err.startswith("factorix:")
+
+
+class Overran(BaseException):
+    """Raised by ``within``; no ``except Exception`` in the CLI catches it."""
+
+
+@contextmanager
+def within(seconds):
+    """Abort the block once ``seconds`` of wall time have passed, so a slow
+    path fails the test instead of hanging the suite or growing memory."""
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("order", ["1000000016000000063", "7420738134810", "10001"])
+def test_patterns_rejects_orders_above_the_cap(capsys, order):
+    """Orders past the table cap exit 2 before any factoring or word
+    enumeration starts."""
+    with within(0.5):
+        rc, _, err = run(capsys, "patterns", order)
+    assert rc == 2
+    assert err.startswith("factorix:")
+
+
+def test_patterns_accepts_the_cap(capsys):
+    rc, out, _ = run(capsys, "patterns", "10000", "--json")
+    assert rc == 0
+    assert json.loads(out)["order"] == 10000
+
+
+@pytest.mark.parametrize("group, pattern", [
+    ("group-a4", "-2,-3,2"),
+    ("group-a5", "-2,-30,1"),
+    ("group-a5", "2,-3,-5,2"),
+    ("group-a4", "12,1,0"),
+])
+def test_refute_adhoc_rejects_nonpositive_sizes(capsys, group, pattern):
+    """Rejected before any engine runs, also where the sizes multiply to
+    the group order."""
+    with within(0.5):
+        rc, out, err = run(capsys, "refute", group, "--", pattern)
+    assert rc == 2
+    assert out == ""
+    assert err == "factorix: factor sizes must be positive\n"
 
 
 def test_multifold_human(capsys):

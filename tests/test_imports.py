@@ -1,6 +1,7 @@
 """Every name a factorix module imports is used in that module, every
 parameter of a factorix function is read, no module imports another's
-private (underscore) names, and the CLI imports no module that only some
+private (underscore) names, every module-level private name is referenced
+somewhere in factorix, and the CLI imports no module that only some
 commands need."""
 from __future__ import annotations
 
@@ -98,6 +99,55 @@ def test_detects_a_private_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """The underscore names (dunders aside) a module defines at its top
+    level, by def, class or assignment, with their line numbers."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                out[name] = node.lineno
+    return out
+
+
+def references(source: str) -> set[str]:
+    """The names a module reads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """The module-level private names that no module in ``sources`` reads."""
+    read = set().union(*map(references, sources.values()))
+    return [f"{module}: {name} (line {line})" for module, source in sorted(sources.items())
+            for name, line in sorted(private_definitions(source).items()) if name not in read]
+
+
+def test_detects_an_unreferenced_private_name():
+    sources = {
+        "a": "_USED = 1\n_DEAD: int = 2\ndef _helper():\n    return _USED\nclass _Gone:\n    pass\n",
+        "b": "import a\nprint(a._helper())\n__all__ = []\n",
+    }
+    assert unreferenced_privates(sources) == ["a: _DEAD (line 2)", "a: _Gone (line 5)"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unreferenced_privates(sources) == []
 
 
 def test_cli_import_leaves_out_the_fork_pool():

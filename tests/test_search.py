@@ -11,6 +11,7 @@ import pytest
 
 from factorix.certify import certificate, product_distinct
 from factorix.group import FactorSet, iter_bits
+from factorix import search
 from factorix.perm import parse_cycles
 from factorix.search import (
     AnchorInvalid, _block_masks, _coset_masks, _meet_sets, _right_cosets,
@@ -466,8 +467,8 @@ def test_case3_anchor_validation(a4):
     ("a5", ("(1,2)(3,4)",), ("()", "(1,3)(2,4)"), 3, 5, 312),
 ])
 def test_case3_builds_match_product_reference(request, group_name, a_gens, d_texts, b_size, c_size, builds):
-    """A graph is built for exactly the B with A*B*D distinct.  Each instance
-    has no solution, so the search visits every B."""
+    """Blocks are built for exactly the B with A*B*D distinct.  Each
+    instance has no solution, so the search visits every B."""
     g = request.getfixturevalue(group_name)
     a = sub(g, *a_gens)
     d = fs(g, *d_texts)
@@ -516,6 +517,8 @@ def test_generic_validation(c6):
         generic_search(c6, (2, 2))
     with pytest.raises(AnchorInvalid):
         generic_search(c6, (2, 3), cap=5)
+    with pytest.raises(AnchorInvalid, match="positive"):
+        generic_search(c6, (-2, -3))
 
 
 # ------------------------------------------------------------- refutation
@@ -582,6 +585,21 @@ def test_refute_block_cover_reuses_found_scan():
     assert second.certificate.pattern == (2, 2, 1, 2) and second.certificate.verify().valid
 
 
+def test_block_cover_scan_work_pinned(a5, monkeypatch):
+    """The A5 (2,3,5,2) scan examines all 6090 (d, B) instances but hands
+    only the 4368 with A*B*D distinct to the kernel; its reversal (2,5,3,2)
+    reuses the completed scan and calls the kernel no more."""
+    monkeypatch.setattr(search, "_BLOCK_COVER_SCANS", weakref.WeakKeyDictionary())
+    calls = []
+    kernel = search.exact_cover
+    monkeypatch.setattr(search, "exact_cover", lambda *args: calls.append(args) or kernel(*args))
+    rec = refute(a5, (2, 3, 5, 2))
+    assert (rec.verdict, rec.strategy, rec.instances_examined, len(calls)) == ("NONE", "block-cover", 6090, 4368)
+    again = refute(a5, (2, 5, 3, 2))
+    assert (again.verdict, again.instances_examined, len(calls)) == ("NONE", 6090, 4368)
+    assert again.notes == "reused the completed block-cover scan of (2, 3, 5, 2)"
+
+
 def test_refute_generic_found(s3):
     rec = refute(s3, (2, 3))
     assert rec.verdict == "FOUND"
@@ -611,3 +629,16 @@ def test_refute_validation(s3, s4):
         refute(s3, (2, 3), strategy="reduction")
     with pytest.raises(AnchorInvalid):
         refute(s4, (2, 3, 2, 2), strategy="reduction")
+
+
+@pytest.mark.parametrize("group_name, pattern", [
+    ("a4", (-2, -3, 2)),
+    ("a5", (-2, -30, 1)),
+    ("a5", (2, -3, -5, 2)),
+    ("a4", (12, 1, 0)),
+])
+def test_refute_rejects_nonpositive_sizes(request, group_name, pattern):
+    group = request.getfixturevalue(group_name)
+    for strategy in ("auto", "generic"):
+        with pytest.raises(AnchorInvalid, match="positive"):
+            refute(group, pattern, budget_s=1.0, strategy=strategy)
