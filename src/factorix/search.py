@@ -8,7 +8,7 @@ on masks of right A-cosets: ``_coset_masks`` gives, once per search, the
 cosets met by y*D for every element y.  Case1 and case3 decide x with
 ``_block_masks``, which ORs them over the rows of B into the mask of the
 block A*B*x*D, rejecting x at the first overlap; case2 reads all its
-accepted x at once off element bitsets (``_meet_sets``).
+accepted x at once off packed meet sets (``_meet_sets``).
 
 * case1: both end factors are subgroups, middle factors are enumerated
   over punctured transversals; A*B*C*D = G iff the block masks of the
@@ -16,7 +16,9 @@ accepted x at once off element bitsets (``_meet_sets``).
 * case2: one end is a subgroup, the other a fixed small set; B is
   enumerated with coset-mask prefix pruning, and C = {e, x} is accepted
   iff the blocks b*x*D, b in B, meet every coset A*B*D misses: x is a bit
-  of the AND, over those cosets, of the element sets that meet them.
+  of the AND, over those cosets, of their parts of the OR of B's meet
+  sets.  The setup is built once per search and one closure runs each
+  chunk of B, in this process or in forked workers.
 * case3: subgroup end, fixed set end, one enumerated middle factor; B is
   kept iff x = e passes the block test with |B||D| cosets (A*B*D is then
   distinct), and the remaining factor is an exact cover of the right
@@ -41,7 +43,7 @@ held, and a search that stops at its first solution found nothing.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
@@ -248,113 +250,32 @@ def case1_search(
 # ---------------------------------------------------------------- case 2
 
 
-def _meet_sets(g: GroupTable, yd_masks: list[int], n_cosets: int, ws: Iterable[int]) -> dict[int, list[int]]:
-    """For each w in ``ws`` and each of the ``n_cosets`` right A-coset
-    positions p, the element bitset T[w][p] of the x with w*x*D meeting
-    coset p.  It is the set of w^-1*y over the y whose mask ``yd_masks[y]``
-    holds p, so one list of those y per p (|G||D| entries in all) serves
-    every w."""
+def _meet_sets(g: GroupTable, yd_masks: list[int], n_cosets: int, ws: Iterable[int]) -> dict[int, int]:
+    """For each w in ``ws``, one int with bit p*|G| + x set when w*x*D
+    meets right A-coset p.  Part p, the x of coset p, is the set of w^-1*y
+    over the y whose mask ``yd_masks[y]`` holds p: one list of those y per p
+    (|G||D| entries in all) serves every w, and each part is built as an
+    element bitset, then shifted into place."""
     met: list[list[int]] = [[] for _ in range(n_cosets)]
     for y, mask in enumerate(yd_masks):
         for p in iter_bits(mask):
             met[p].append(y)
-    return {w: [bits_of(map(g.row(g.inv[w]).__getitem__, ys)) for ys in met] for w in ws}
+    packed = {}
+    for w in ws:
+        row = g.row(g.inv[w])
+        packed[w] = 0
+        for p, ys in enumerate(met):
+            packed[w] |= bits_of(map(row.__getitem__, ys)) << p * g.order
+    return packed
 
 
-@dataclass(frozen=True)
-class _Case2:
-    """What every case2 chunk reads, built once per search: the anchors,
-    the middle sizes, the punctured transversal, the mask of the cosets y*D
-    meets for each element y (``_coset_masks``), for a (b, 2) search the
-    element bitsets T[w][p] of ``_meet_sets`` for w in {e} and the
-    transversal (empty otherwise), and the deadline's absolute
-    ``time.monotonic()`` limit (None without a budget).  A forked run hands
-    it to each worker of the pool."""
-
-    a: Subgroup
-    last: FactorSet
-    sizes: tuple[int, ...]
-    w_free: list[int]
-    yd_masks: list[int]
-    meet: dict[int, list[int]]
-    limit: float | None
-
-
-# The context of a forked case2 worker, appended by the pool initializer in
-# the worker itself; it stays empty in the parent.
-_WORKER_CTX: list[_Case2] = []
+# The chunk runner of a forked case2 search, appended by the pool
+# initializer in the worker itself; it stays empty in the parent.
+_WORKER_CTX: list[Callable[[int], tuple[int, list[tuple[tuple[int, ...], ...]], bool]]] = []
 
 
 def _case2_worker(first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ...]], bool]:
-    return _case2_chunk(_WORKER_CTX[0], first_index)
-
-
-def _case2_chunk(ctx: _Case2, first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ...]], bool]:
-    """Enumerate every middle-factor choice whose least non-identity B
-    element is w_free[first_index] (the one choice B = {e} when |B| = 1);
-    returns (examined, raw certs, budget_hit).  The deadline is read once
-    per completed B, before any of its candidates is examined."""
-    g: GroupTable = ctx.a.group
-    last = ctx.last
-    b_size = ctx.sizes[0]
-    c_size = ctx.sizes[1] if len(ctx.sizes) == 2 else None
-    w_free = ctx.w_free
-    yd = ctx.yd_masks
-    meet = ctx.meet
-    d_size = len(last)
-    full = (1 << (g.order // len(ctx.a))) - 1
-    # the C candidates outside A*B*D, counted per completed B
-    outside = g.order - len(ctx.a) * b_size * d_size
-
-    examined = 0
-    budget_hit = False
-    raw: list[tuple[tuple[int, ...], ...]] = []
-
-    def emit(b_extra: tuple[int, ...], c_extra: tuple[int, ...]) -> None:
-        factors = [ctx.a.indices, tuple(sorted((0,) + b_extra))]
-        if c_size is not None:
-            factors.append(tuple(sorted((0,) + c_extra)))
-        factors.append(last.indices)
-        raw.append(tuple(factors))
-
-    def leaf(b_extra: tuple[int, ...], mask: int, union: list[int]) -> bool:
-        nonlocal examined, budget_hit
-        if ctx.limit is not None and time.monotonic() > ctx.limit:
-            budget_hit = True
-            return True
-        if c_size is None:
-            examined += 1
-            if mask == full:
-                emit(b_extra, ())
-            return False
-        # C = {e, x}: the blocks b*x*D must meet every coset A*B*D misses
-        examined += outside
-        accepted = -1
-        for p in iter_bits(full & ~mask):
-            accepted &= union[p]
-            if not accepted:
-                return False
-        for x in iter_bits(accepted):
-            emit(b_extra, (x,))
-        return False
-
-    def extend(b_extra: tuple[int, ...], mask: int, union: list[int], start: int) -> bool:
-        if len(b_extra) == b_size - 1:
-            return leaf(b_extra, mask, union)
-        lo = start if b_extra else first_index
-        hi = first_index + 1 if not b_extra else len(w_free)
-        for i in range(lo, hi):
-            w = w_free[i]
-            step = yd[w]
-            if step & mask or step.bit_count() != d_size:
-                continue
-            grown = [u | t for u, t in zip(union, meet[w])] if meet else union
-            if extend(b_extra + (w,), mask | step, grown, i + 1):
-                return True
-        return False
-
-    extend((), yd[0], meet.get(0, []), first_index)
-    return examined, raw, budget_hit
+    return _WORKER_CTX[0](first_index)
 
 
 def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadline: _Deadline,
@@ -366,11 +287,13 @@ def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadl
     cosets that A*B*D does not yet meet.  Every x outside A*B*D counts as
     examined.
 
-    C = {e, x} is read off element bitsets.  T[w][p] (``_meet_sets``) holds
-    the x with w*x*D meeting right A-coset p; the recursion carries U[p],
-    the OR of T[b][p] over the b chosen so far, and at a completed B the
-    accepted x are the bits of the AND of U[p] over the cosets p in M, the
-    set of cosets A*B*D misses.  This is sound: |C| = 2 gives
+    C = {e, x} is read off packed meet sets.  The meet set of w
+    (``_meet_sets``) holds, in its part p (bits p*|G| to p*|G| + |G| - 1),
+    the x with w*x*D meeting right A-coset p; the recursion carries the OR
+    of the meet sets of the b chosen so far (zero for a (b,) search), so
+    adding w to B costs one OR.  At a completed B the accepted x are the
+    bits of the AND of the union's parts p over the cosets p in M, the set
+    of cosets A*B*D misses.  This is sound: |C| = 2 gives
     |G/A| = 2|B||D|, and A*B*D meets |B||D| cosets, so |M| = |B||D|.  The
     blocks b*x*D, b in B, meet at most |B||D| cosets counted with
     multiplicity; if they meet every coset in M, each meets |D| cosets,
@@ -378,32 +301,79 @@ def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadl
     converse is plain, so the AND holds exactly the x that pass
     ``_block_masks`` with B's rows, base A*B*D and a full union.
 
-    The work is one chunk per least non-identity B element.  The chunks run
-    in this process, or, when there is more than one, in a pool of forked
-    worker processes, ``threads`` of them at most and never more than the
-    chunks; either way the results merge in chunk order and stop at the
-    first chunk that ran out of budget.  Counts and answers therefore do not
-    depend on ``threads``, and the budget is honoured at any thread count."""
+    The setup is built once, and the closure ``chunk`` runs once per least
+    non-identity B element (once in all when |B| = 1): in this process, or,
+    when there is more than one chunk, in at most ``threads`` forked workers
+    (never more than the chunks), which inherit it.  Results merge in chunk
+    order and stop at the first chunk that ran out of budget, so counts and
+    answers do not depend on ``threads``."""
     g = a.group
     if last.group is not g:
         raise AnchorInvalid("anchors live in different groups")
     if not last.contains_identity():
-        raise AnchorInvalid("last-factor anchor must contain the identity")
+        raise AnchorInvalid("the set anchor must contain the identity")
     if not sizes or sizes[1:] not in ((), (2,)):
         raise AnchorInvalid("case2 supports the middle sizes (b,) and (b,2) only")
     if len(a) * prod(sizes) * len(last) != g.order:
         raise AnchorInvalid("pattern does not multiply to the group order")
     _, coset_of, w_free = _right_cosets(a, last)
-    chunks = range(len(w_free) if sizes[0] > 1 else 1)
-    yd_masks = _coset_masks(g, last, coset_of)
-    meet = _meet_sets(g, yd_masks, g.order // len(a), [0] + w_free) if len(sizes) == 2 else {}
-    ctx = _Case2(a, last, sizes, w_free, yd_masks, meet, deadline.limit)
+    yd = _coset_masks(g, last, coset_of)
+    n, n_cosets = g.order, g.order // len(a)
+    b_size, d_size = sizes[0], len(last)
+    pair = len(sizes) == 2
+    meet = _meet_sets(g, yd, n_cosets, [0] + w_free) if pair else dict.fromkeys([0] + w_free, 0)
+    full = (1 << n_cosets) - 1
+    elements = (1 << n) - 1
+    # the C candidates outside A*B*D, counted per completed B
+    outside = n - len(a) * b_size * d_size
+    limit = deadline.limit
 
-    b_size = sizes[0]
-    space = comb(len(w_free), b_size - 1)
-    if len(sizes) == 2:
-        space *= comb(g.order - len(a) * b_size * len(last), sizes[1] - 1)
+    def chunk(first_index: int) -> tuple[int, list[tuple[tuple[int, ...], ...]], bool]:
+        """Enumerate every middle-factor choice whose least non-identity B
+        element is w_free[first_index] (the one choice B = {e} when
+        |B| = 1); returns (examined, raw answers, budget_hit).  The deadline
+        is read once per completed B, before any of its candidates is
+        examined."""
+        examined = 0
+        raw: list[tuple[tuple[int, ...], ...]] = []
 
+        def leaf(b_extra: tuple[int, ...], mask: int, union: int) -> bool:
+            nonlocal examined
+            if limit is not None and time.monotonic() > limit:
+                return True
+            if not pair:
+                examined += 1
+                if mask == full:
+                    raw.append((a.indices, (0,) + b_extra, last.indices))
+                return False
+            # C = {e, x}: the blocks b*x*D must meet every coset A*B*D misses
+            examined += outside
+            accepted = elements
+            for p in iter_bits(full & ~mask):
+                accepted &= union >> p * n
+                if not accepted:
+                    return False
+            b = (0,) + b_extra
+            raw.extend((a.indices, b, (0, x), last.indices) for x in iter_bits(accepted))
+            return False
+
+        def extend(b_extra: tuple[int, ...], mask: int, union: int, start: int) -> bool:
+            if len(b_extra) == b_size - 1:
+                return leaf(b_extra, mask, union)
+            for i in range(start, len(w_free)) if b_extra else (first_index,):
+                w = w_free[i]
+                step = yd[w]
+                if step & mask or step.bit_count() != d_size:
+                    continue
+                if extend(b_extra + (w,), mask | step, union | meet[w], i + 1):
+                    return True
+            return False
+
+        budget_hit = extend((), yd[0], meet[0], first_index)
+        return examined, raw, budget_hit
+
+    space = comb(len(w_free), b_size - 1) * (outside if pair else 1)
+    chunks = range(len(w_free) if b_size > 1 else 1)
     pool = None
     if threads > 1 and len(chunks) > 1:
         # only a forked run pays for importing the pool
@@ -413,12 +383,11 @@ def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadl
         fork = multiprocessing.get_context("fork")
         # under fork the initializer and its argument are inherited, not pickled
         pool = ProcessPoolExecutor(max_workers=min(threads, len(chunks)), mp_context=fork,
-                                   initializer=_WORKER_CTX.append, initargs=(ctx,))
+                                   initializer=_WORKER_CTX.append, initargs=(chunk,))
     examined = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
     try:
-        results = pool.map(_case2_worker, chunks) if pool else (_case2_chunk(ctx, i) for i in chunks)
-        for exa, part, budget_hit in results:
+        for exa, part, budget_hit in pool.map(_case2_worker, chunks) if pool else map(chunk, chunks):
             examined += exa
             raw.extend(part)
             if budget_hit:

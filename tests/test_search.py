@@ -205,6 +205,38 @@ def test_case2_anchor_validation(s4):
         case2_search(a, fs(s4, "()", "(1,2)(3,4)"), (2, 3), budget_s=0.0)
 
 
+def test_case2_set_anchor_without_identity(s4):
+    """The set anchor is first in a reversed search and last otherwise, so
+    the error when it lacks e names neither side."""
+    c3 = sub(s4, "(1,2,3)")
+    no_e = fs(s4, "(1,4)(2,3)", "(1,2)")
+    with pytest.raises(AnchorInvalid, match="^the set anchor must contain the identity$"):
+        case2_search(c3, no_e, (2, 2))
+    with pytest.raises(AnchorInvalid, match="^the set anchor must contain the identity$"):
+        case2_search_reversed(no_e, c3, (2, 2))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("a_gens, middle, t, count", [
+    (("(1,2)(3,4)", "(1,2,3)"), (1,), "(1,2)", 1),
+    (("(1,2)", "(1,2,3)"), (1, 2), "(1,4)", 0),
+    (("(1,2)", "(1,2,3)"), (1, 2), "(1,2)(3,4)", 12),
+    (("(1,2)", "(1,2,3)"), (1, 2), "(1,2,3,4)", 6),
+])
+def test_case2_single_element_b_matches_brute_force(s4, threads, a_gens, middle, t, count):
+    """With |B| = 1 the search is the one chunk B = {e}; its answers are
+    the candidates that verify, over every x when C = {e, x}."""
+    a = sub(s4, *a_gens)
+    last = fs(s4, "()", t)
+    rep = case2_search(a, last, middle, threads=threads)
+    cs = [((0, x),) for x in range(1, s4.order)] if len(middle) == 2 else [()]
+    candidates = [(a.indices, (0,)) + c + (last.indices,) for c in cs]
+    brute = [f for f in candidates if certificate(s4, f).verify().valid]
+    assert [tuple(f.indices for f in c.factors) for c in rep.solutions] == brute
+    assert rep.solution_count == count
+    assert rep.exhaustive and not rep.budget_hit
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_case2_keeps_no_group_alive(threads):
     g = group_from(4, "(1,2)", "(1,2,3,4)")
@@ -328,19 +360,22 @@ def test_meet_sets_match_brute_force(leaf_anchor):
     cosets = g.order // len(a)
     meet = _meet_sets(g, yd, cosets, [0] + w_free)
     assert sorted(meet) == sorted([0] + w_free)
-    for w, sets in meet.items():
+    for w, packed in meet.items():
         row = g.row(w)
-        assert sets == [sum(1 << x for x in range(g.order) if yd[row[x]] >> p & 1) for p in range(cosets)]
+        ref = [sum(1 << x for x in range(g.order) if yd[row[x]] >> p & 1) for p in range(cosets)]
+        assert packed == sum(ref[p] << p * g.order for p in range(cosets))
 
 
 def test_case2_leaf_accepts_what_block_masks_accepts(leaf_anchor):
-    """For every completed B, the x read off the AND of U[p] over the cosets
-    A*B*D misses (U[p] the OR of T[b][p] over b in B) are the x whose block
-    masks are disjoint and fill G; the engine emits exactly those."""
+    """For every completed B, the x read off the AND, over the cosets p that
+    A*B*D misses, of part p of the OR of the packed meet sets of b in B
+    (bits p*|G| to p*|G| + |G| - 1) are the x whose block masks are
+    disjoint and fill G; the engine emits exactly those."""
     a, d, b_size, yd, w_free = leaf_anchor
     g = a.group
     cosets = g.order // len(a)
     full = (1 << cosets) - 1
+    elements = (1 << g.order) - 1
     meet = _meet_sets(g, yd, cosets, [0] + w_free)
     want = set()
     completed = 0
@@ -358,7 +393,7 @@ def test_case2_leaf_accepts_what_block_masks_accepts(leaf_anchor):
             for p in iter_bits(full & ~mask):
                 union = 0
                 for w in b:
-                    union |= meet[w][p]
+                    union |= meet[w] >> p * g.order & elements
                 accepted &= union
             assert set(iter_bits(accepted)) == ref
             want.update((tuple(sorted(b)), x) for x in ref)
