@@ -1,9 +1,12 @@
 """Factorization certificates: a group plus an ordered list of factor sets
 whose left-to-right product hits every group element exactly once.
 
-Verification is the ground truth for everything downstream; transformations
-(reverse, normalize, lifts, sandwich composition, factor surgery) construct
-candidate certificates but never bypass the verifier.
+Verification is the ground truth for everything downstream: one left fold
+of ``product_distinct`` over plain index lists, starting from ``[0]``.
+Transformations (reverse, normalize, lifts, sandwich composition, factor
+surgery) construct candidate certificates but never bypass the verifier;
+the two that multiply factors (``merge_adjacent``, ``replace_factor``) fold
+the same step.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .group import FactorSet, GroupTable, generate_group, iter_bits
+from .group import FactorSet, GroupTable, generate_group
 from .perm import MAX_DEGREE, Perm, parse_cycles
 from .structure import Subgroup, cosets, double_cosets
 
@@ -53,10 +56,6 @@ class Certificate:
     def is_normalized(self) -> bool:
         return all(f.contains_identity() for f in self.factors)
 
-    @property
-    def is_verified(self) -> bool:
-        return self._verdict is not None and self._verdict.valid
-
     def verify(self) -> Verdict:
         if self._verdict is None:
             object.__setattr__(self, "_verdict", verify_certificate(self))
@@ -67,35 +66,30 @@ def certificate(group: GroupTable, index_sets) -> Certificate:
     return Certificate(group, tuple(FactorSet(group, tuple(s)) for s in index_sets))
 
 
-def product_distinct(s: FactorSet, t: FactorSet) -> FactorSet | None:
-    """The product set s*t when all |s|*|t| products are distinct, else None.
+def product_distinct(group: GroupTable, s, t) -> list[int] | None:
+    """The |s|*|t| products x*y of two index sequences, in row order (x
+    outer, y inner), when they are all distinct, else None.
 
-    A None is a pruning signal for searches, not an error.
+    The one step that multiplies two sets.  A None is a pruning signal for
+    searches, not an error.
     """
-    g = s.group
-    mask = 0
-    count = 0
-    for a in s.indices:
-        row = g.row(a)
-        for b in t.indices:
-            mask |= 1 << row[b]
-        # break early once a collision is certain
-        count += len(t.indices)
-        if mask.bit_count() != count:
-            return None
-    return FactorSet(g, tuple(iter_bits(mask)))
+    if len(s) * len(t) > group.order:  # more products than elements
+        return None
+    prod = [row[y] for row in map(group.mul.__getitem__, s) for y in t]
+    return prod if len(set(prod)) == len(prod) else None
 
 
 def verify_certificate(cert: Certificate) -> Verdict:
-    """Left fold of product_distinct; valid iff no prefix collides and the
-    final product is the whole group."""
+    """Left fold of product_distinct over the factors' index lists, from
+    ``[0]``; valid iff no prefix collides and the final product is the whole
+    group.  ``product_size`` is the size of the last prefix whose products
+    are distinct."""
     g = cert.group
-    for f in cert.factors:
-        if len(f) == 0:
-            return Verdict(False, None, 0, "empty factor")
-    acc = FactorSet(g, (0,))
+    if any(len(f) == 0 for f in cert.factors):
+        return Verdict(False, None, 0, "empty factor")
+    acc = [0]
     for k, f in enumerate(cert.factors, start=1):
-        nxt = product_distinct(acc, f)
+        nxt = product_distinct(g, acc, f.indices)
         if nxt is None:
             return Verdict(False, k, len(acc), f"prefix of length {k} collides")
         acc = nxt
@@ -132,13 +126,12 @@ def merge_adjacent(cert: Certificate, position: int) -> Certificate:
     """Fuse factors at position and position+1 into their product set."""
     if not 0 <= position < len(cert.factors) - 1:
         raise InvalidPosition(position)
-    fused = product_distinct(cert.factors[position], cert.factors[position + 1])
+    g = cert.group
+    fused = product_distinct(g, cert.factors[position].indices, cert.factors[position + 1].indices)
     if fused is None:
         raise ConditionFailed("adjacent factors do not multiply distinctly")
-    factors = (
-        cert.factors[:position] + (fused,) + cert.factors[position + 2:]
-    )
-    return Certificate(cert.group, factors)
+    factors = cert.factors[:position] + (FactorSet(g, tuple(fused)),) + cert.factors[position + 2:]
+    return Certificate(g, factors)
 
 
 def replace_factor(cert: Certificate, position: int, parts: list[FactorSet]) -> Certificate:
@@ -146,13 +139,12 @@ def replace_factor(cert: Certificate, position: int, parts: list[FactorSet]) -> 
     equals it; the certificate stays valid."""
     if not 0 <= position < len(cert.factors):
         raise InvalidPosition(position)
-    acc = parts[0]
+    acc = parts[0].indices
     for p in parts[1:]:
-        nxt = product_distinct(acc, p)
-        if nxt is None:
+        acc = product_distinct(cert.group, acc, p.indices)
+        if acc is None:
             raise ConditionFailed("replacement parts collide")
-        acc = nxt
-    if acc.bits != cert.factors[position].bits:
+    if sorted(acc) != list(cert.factors[position].indices):
         raise ConditionFailed("replacement parts do not multiply to the factor")
     factors = cert.factors[:position] + tuple(parts) + cert.factors[position + 1:]
     return Certificate(cert.group, factors)
@@ -307,10 +299,6 @@ def from_dict(data: Any, group_of: Callable[[str], GroupTable] | None = None) ->
     if table is None:
         table = generate_group(gens, degree)
     return certificate(table, [[table.index_of(p) for p in f] for f in factors])
-
-
-def dump_json(cert: Certificate) -> str:
-    return json.dumps(to_dict(cert), indent=2, sort_keys=True) + "\n"
 
 
 def load_json(text: str) -> Certificate:

@@ -15,7 +15,7 @@ from . import __version__
 from .catalog import CatalogInvalid, UnknownId, open_catalog
 from .certify import MalformedCertificate, load_json, to_dict
 from .driver import RecipeInvalid, multifold, repro, run_refutation, run_search
-from .group import MAX_ORDER, ElementNotInGroup, OrderCapExceeded
+from .group import ElementNotInGroup, OrderCapExceeded
 from .patterns import enumerate_reversal_classes, palindrome_count, word_count
 from .search import AnchorInvalid, refute
 
@@ -23,6 +23,10 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+# ``patterns`` factors the order and builds no table, so it takes orders
+# past the table cap ``group.MAX_ORDER``.
+PATTERNS_MAX_ORDER = 10_000
 
 _INPUT_ERRORS = (
     UnknownId, CatalogInvalid, MalformedCertificate, RecipeInvalid,
@@ -134,8 +138,8 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         order = int(args.target)
     except ValueError:
         order = open_catalog(args.catalog).group(args.target).order
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"group order must be in 1..{MAX_ORDER}")
+    if not 1 <= order <= PATTERNS_MAX_ORDER:
+        raise ValueError(f"group order must be in 1..{PATTERNS_MAX_ORDER}")
     classes = enumerate_reversal_classes(order)
     if args.json:
         _print_json({

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 from .perm import Perm, compose, identity, inverse
 
-MAX_ORDER = 10_000
+# The largest group tabulated; S6 (720) is the largest the catalog uses.  A
+# larger group, say from untrusted certificate JSON, stops the BFS at once.
+MAX_ORDER = 1_000
 
 
 class OrderCapExceeded(RuntimeError):
@@ -38,7 +40,7 @@ def iter_bits(mask: int):
 
 @dataclass(frozen=True)
 class FactorSet:
-    """A subset of group elements held as sorted indices plus a bitset."""
+    """A subset of group elements held as sorted indices."""
 
     group: "GroupTable"
     indices: tuple[int, ...]
@@ -46,10 +48,6 @@ class FactorSet:
     def __post_init__(self) -> None:
         if tuple(sorted(set(self.indices))) != self.indices:
             object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
-
-    @property
-    def bits(self) -> int:
-        return bits_of(self.indices)
 
     def __len__(self) -> int:
         return len(self.indices)

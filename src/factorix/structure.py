@@ -21,9 +21,9 @@ class NotNormal(ValueError):
 @dataclass(frozen=True)
 class Subgroup(FactorSet):
     """A factor set that is closed under products: a subgroup of its
-    tabulated group.  It adds no fields, so every set operation (``bits``,
-    membership, ``inverse``) is the ``FactorSet`` one.  Build it with the
-    constructors below, which check or generate the closure."""
+    tabulated group.  It adds no fields, so every set operation (membership,
+    ``inverse``) is the ``FactorSet`` one.  Build it with the constructors
+    below, which check or generate the closure."""
 
 
 def subgroup_from_indices(group: GroupTable, indices) -> Subgroup:

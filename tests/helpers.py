@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
+from itertools import product
 
-from factorix.certify import Certificate, product_distinct, to_dict
-from factorix.group import FactorSet, GroupTable, generate_group
+from factorix.certify import Certificate, Verdict, product_distinct, to_dict
+from factorix.group import FactorSet, GroupTable, bits_of, generate_group
 from factorix.patterns import prime_factors
-from factorix.perm import Perm, parse_cycles
+from factorix.perm import Perm, compose, parse_cycles
 from factorix.structure import Subgroup
 
 
@@ -22,6 +24,33 @@ def fs(group: GroupTable, *cycle_texts: str) -> FactorSet:
 
 def cert_from(group: GroupTable, *factor_texts: tuple[str, ...]) -> Certificate:
     return Certificate(group, tuple(fs(group, *texts) for texts in factor_texts))
+
+
+def cert_json(cert: Certificate) -> str:
+    """A certificate as the JSON text ``factorix verify`` and ``load_json``
+    read."""
+    return json.dumps(to_dict(cert))
+
+
+def reference_verdict(cert: Certificate) -> Verdict:
+    """The verifier's verdict by brute force, without the Cayley table: each
+    prefix product is every ``itertools.product`` choice of elements from
+    the first k factors, composed as permutations, and it collides when it
+    has fewer distinct images than choices."""
+    g = cert.group
+    factors = [f.perms() for f in cert.factors]
+    if any(not f for f in factors):
+        return Verdict(False, None, 0, "empty factor")
+    size = 1
+    for k in range(1, len(factors) + 1):
+        choices = list(product(*factors[:k]))
+        images = {reduce(compose, word).images for word in choices}
+        if len(images) != len(choices):
+            return Verdict(False, k, size, f"prefix of length {k} collides")
+        size = len(images)
+    if size != g.order:
+        return Verdict(False, None, size, f"product covers {size} of {g.order}")
+    return Verdict(True, None, size)
 
 
 def canonical(cert: Certificate) -> str:
@@ -83,9 +112,9 @@ def strip_singletons(cert: Certificate) -> Certificate:
         if len(factors[i]) == 1:
             j = i + 1 if i + 1 < len(factors) else i - 1
             lo, hi = min(i, j), max(i, j)
-            fused = product_distinct(factors[lo], factors[hi])
+            fused = product_distinct(cert.group, factors[lo].indices, factors[hi].indices)
             assert fused is not None  # a singleton product cannot collide
-            factors[lo:hi + 1] = [fused]
+            factors[lo:hi + 1] = [FactorSet(cert.group, tuple(fused))]
             i = 0
         else:
             i += 1
@@ -97,7 +126,7 @@ def conjugate_intersection_trivial(a: Subgroup, b: Subgroup) -> bool:
     the reference the double-coset test ``all_full_size`` is checked
     against."""
     g = a.group
-    b_bits = b.bits
+    b_bits = bits_of(b.indices)
     nontrivial_a = [p for p in a.indices if p != 0]
     for x in range(g.order):
         for p in nontrivial_a:

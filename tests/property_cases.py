@@ -12,7 +12,7 @@ import random
 
 from factorix.certify import (
     Certificate, ConditionFailed, certificate, compose_sandwich,
-    divisibility_prune, dump_json, from_dict, lift_by_quotient,
+    divisibility_prune, from_dict, lift_by_quotient,
     lift_by_transversal, load_json, merge_adjacent, normalize, replace_factor,
     reverse, to_dict,
 )
@@ -23,8 +23,8 @@ from factorix.search import generic_search, refute
 from factorix.structure import double_cosets, is_normal, quotient_group, subgroup_from_indices
 
 from helpers import (
-    canonical, conjugate_intersection_trivial, enumerate_ordered_factorizations,
-    standalone_table, strip_singletons,
+    canonical, cert_json, conjugate_intersection_trivial,
+    enumerate_ordered_factorizations, standalone_table, strip_singletons,
 )
 
 
@@ -130,7 +130,7 @@ def run_case(seed: int) -> set[str]:
 
     again = from_dict(to_dict(cert))
     assert canonical(again) == canonical(cert)
-    assert canonical(load_json(dump_json(cert))) == canonical(cert)
+    assert canonical(load_json(cert_json(cert))) == canonical(cert)
     ops.add("roundtrip")
 
     if len(cert.factors) >= 2:

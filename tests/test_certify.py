@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from factorix import certify
 from factorix.certify import (
-    ConditionFailed, InvalidPosition, MalformedCertificate, certificate,
-    compose_sandwich, divisibility_prune, dump_json, from_dict,
+    ConditionFailed, InvalidPosition, MalformedCertificate, Verdict, certificate,
+    compose_sandwich, divisibility_prune, from_dict,
     lift_by_quotient, lift_by_transversal, load_json, merge_adjacent,
     normalize, product_distinct, replace_factor, reverse, to_dict,
     verify_certificate,
@@ -14,8 +16,8 @@ from factorix.certify import (
 from factorix.perm import parse_cycles
 from factorix.structure import quotient_group, subgroup_from_perms
 from helpers import (
-    all_subgroups, cert_from, conjugate_intersection_trivial, fs, group_from,
-    standalone_table, strip_singletons,
+    all_subgroups, cert_from, cert_json, conjugate_intersection_trivial, fs,
+    group_from, reference_verdict, standalone_table, strip_singletons,
 )
 
 
@@ -31,11 +33,17 @@ R5 = "(1,6,5,4,3,2)"
 
 
 def test_product_distinct(c6):
-    a = fs(c6, "()", R)
-    b = fs(c6, "()", R2, R4)
-    out = product_distinct(a, b)
-    assert out is not None and len(out) == 6
-    assert product_distinct(a, fs(c6, "()", R, R2)) is None
+    a = fs(c6, R, "()").indices
+    b = fs(c6, "()", R2, R4).indices
+    out = product_distinct(c6, a, b)
+    assert out == [c6.mul_idx(x, y) for x in a for y in b]
+    assert sorted(out) == list(range(6))
+    # row order: x outer, y inner, in the order the sequences give them
+    assert product_distinct(c6, a[::-1], b) == out[3:] + out[:3]
+    assert product_distinct(c6, [0], b) == list(b)
+    assert product_distinct(c6, a, fs(c6, "()", R, R2).indices) is None
+    # more products than elements collide without any being formed
+    assert product_distinct(c6, a, range(4)) is None
 
 
 def test_verify_valid(c6):
@@ -68,12 +76,48 @@ def test_verify_empty_factor(c6):
     assert verify_certificate(cert).message == "empty factor"
 
 
-def test_verify_caches(c6):
+def test_verify_caches(c6, monkeypatch):
     cert = cert_from(c6, ("()", R), ("()", R2, R4))
-    assert not cert.is_verified
     assert cert.verify().valid
-    assert cert.is_verified
+
+    def no_verifier(cert):
+        raise AssertionError("the verifier ran again")
+
+    monkeypatch.setattr(certify, "verify_certificate", no_verifier)
     assert cert.verify() is cert.verify()
+
+
+def corruptions(cert, rng):
+    """Seeded corruptions of a certificate: one element replaced by one
+    outside its factor, one factor emptied, two factors swapped, and the
+    last factor dropped."""
+    g, factors = cert.group, [list(f.indices) for f in cert.factors]
+    i = rng.randrange(len(factors))
+    replaced = [list(f) for f in factors]
+    replaced[i][rng.randrange(len(factors[i]))] = rng.choice(
+        [x for x in range(g.order) if x not in factors[i]])
+    emptied = [list(f) for f in factors]
+    emptied[i] = []
+    j, k = sorted(rng.sample(range(len(factors)), 2))
+    swapped = [list(f) for f in factors]
+    swapped[j], swapped[k] = swapped[k], swapped[j]
+    return [certificate(g, index_sets) for index_sets in (replaced, emptied, swapped, factors[:-1])]
+
+
+def test_verdict_matches_brute_force_reference(cat):
+    """Every catalog certificate, and four seeded corruptions of each, get
+    the same four Verdict fields from the verifier and from the brute-force
+    reference; the corruptions reach every kind of verdict."""
+    rng = random.Random(22)
+    kinds = set()
+    for cid in cat.ids("certificates"):
+        cert = cat.certificate(cid)
+        assert verify_certificate(cert) == reference_verdict(cert) == Verdict(True, None, cert.group.order)
+        for bad in corruptions(cert, rng):
+            got = verify_certificate(bad)
+            assert got == reference_verdict(bad), cid
+            kinds.add(got.message.split(" ")[0])
+    assert kinds == {"", "empty", "prefix", "product"}
 
 
 def test_reverse(c6):
@@ -220,7 +264,7 @@ def test_dict_round_trip(c6):
 def test_json_round_trip(s4):
     cert = cert_from(s4, ("()", "(1,2)"), ("()", "(1,2,3)", "(1,3,2)"), ("()", "(1,2,3,4)", "(1,3)(2,4)", "(1,4,3,2)"))
     assert cert.verify().valid
-    text = dump_json(cert)
+    text = cert_json(cert)
     again = load_json(text)
     assert to_dict(again) == to_dict(cert)
 

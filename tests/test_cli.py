@@ -11,7 +11,8 @@ from contextlib import contextmanager
 import pytest
 
 from factorix import cli
-from factorix.certify import dump_json, to_dict
+from factorix.certify import to_dict
+from helpers import cert_json
 
 
 def run(capsys, *argv):
@@ -89,14 +90,14 @@ def test_verify_json(capsys):
 
 def test_verify_file(tmp_path, capsys, cat):
     target = tmp_path / "cert.json"
-    target.write_text(dump_json(cat.certificate("lemma-3.5")))
+    target.write_text(cert_json(cat.certificate("lemma-3.5")))
     rc, out, _ = run(capsys, "verify", str(target))
     assert rc == 0
     assert out.startswith("VALID")
 
 
 def test_verify_stdin(capsys, monkeypatch, cat):
-    monkeypatch.setattr("sys.stdin", io.StringIO(dump_json(cat.certificate("lemma-3.5"))))
+    monkeypatch.setattr("sys.stdin", io.StringIO(cert_json(cat.certificate("lemma-3.5"))))
     rc, out, _ = run(capsys, "verify", "-")
     assert rc == 0
 
@@ -300,6 +301,18 @@ def test_patterns_accepts_the_cap(capsys):
     rc, out, _ = run(capsys, "patterns", "10000", "--json")
     assert rc == 0
     assert json.loads(out)["order"] == 10000
+
+
+def test_verify_group_past_the_table_cap_exit2(capsys, monkeypatch):
+    """A small, well-formed certificate that declares S7 (order 5040) stops
+    the table build at the cap instead of tabulating the group."""
+    doc = '{"group":{"degree":7,"generators":["(1,2)","(1,2,3,4,5,6,7)"]},"pattern":[1],"factors":[["()"]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    with within(0.5):
+        rc, out, err = run(capsys, "verify", "-")
+    assert rc == 2
+    assert out == ""
+    assert err == "factorix: group order exceeds 1000\n"
 
 
 @pytest.mark.parametrize("group, pattern", [

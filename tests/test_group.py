@@ -98,7 +98,7 @@ def test_factor_set_normalizes_input(c6):
     assert f.indices == (0, 1, 3)
     assert len(f) == 3
     assert 1 in f and 2 not in f
-    assert f.bits == 0b1011
+    assert bits_of(f.indices) == 0b1011
     assert f.contains_identity()
 
 

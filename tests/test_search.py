@@ -68,7 +68,7 @@ def test_case1_matches_brute_force(s4):
     assert rep.exhaustive and not rep.budget_hit
     seen = set()
     for cert in rep.solutions:
-        assert cert.is_verified and cert.is_normalized
+        assert cert.verify().valid and cert.is_normalized
         seen.add(tuple(f.indices for f in cert.factors))
     assert len(seen) == 56
 
@@ -136,7 +136,7 @@ def test_case2_single_middle_matches_brute_force(s4):
     )
     assert rep.solution_count == brute == 32
     assert rep.exhaustive
-    assert all(c.is_verified and c.is_normalized for c in rep.solutions)
+    assert all(c.verify().valid and c.is_normalized for c in rep.solutions)
 
 
 def test_case2_two_middles_matches_brute_force(s4):
@@ -181,7 +181,7 @@ def test_case2_reversed(s4):
     assert rep.solution_count == 48
     assert "reversed task" in rep.notes
     for cert in rep.solutions:
-        assert cert.is_verified
+        assert cert.verify().valid
         assert cert.factors[0].indices == first.indices
         assert cert.factors[-1].indices == d.indices
     mirror = case2_search(d, first.inverse(), (2, 2))
@@ -472,7 +472,7 @@ def test_case3_counts_transversals(a4, s4):
         assert brute == want
         assert rep.solution_count == min(brute, 1)
         assert rep.exhaustive == (brute == 0) and not rep.budget_hit
-        assert all(c.is_verified for c in rep.solutions)
+        assert all(c.verify().valid for c in rep.solutions)
 
 
 def test_case3_caps_and_find_first(a4):
@@ -509,8 +509,8 @@ def test_case3_builds_match_product_reference(request, group_name, a_gens, d_tex
     d = fs(g, *d_texts)
     reference = 0
     for extra in combinations(punctured(a, d.indices), b_size - 1):
-        ab = product_distinct(a, FactorSet(g, (0,) + extra))
-        reference += ab is not None and product_distinct(ab, d) is not None
+        ab = product_distinct(g, a.indices, (0,) + extra)
+        reference += ab is not None and product_distinct(g, ab, d.indices) is not None
     rep = case3_search(a, d, b_size, c_size)
     assert rep.exhaustive and not rep.solutions
     assert rep.graph_builds == reference == builds
@@ -537,7 +537,7 @@ def test_generic_matches_brute_force(s3, c6):
         assert rep.engine == "generic"
         assert rep.solution_count == expect == normalized_brute(group, (2, 3))
         assert rep.exhaustive
-        assert all(c.is_verified and c.is_normalized for c in rep.solutions)
+        assert all(c.verify().valid and c.is_normalized for c in rep.solutions)
 
 
 def test_generic_find_first_and_budget(s3, s4):
