@@ -133,6 +133,8 @@ class Catalog:
                 if spec["engine"] not in _ENGINE_KEYS:
                     raise MalformedCertificate(f"unknown search engine {spec['engine']!r}")
                 shaped(spec, f"{spec['engine']} search", **_ENGINE_KEYS[spec["engine"]])
+            if "budget_s" in spec and not spec["budget_s"] >= 0:
+                raise MalformedCertificate("entry: 'budget_s' must be a non-negative number")
             sizes = _SIZES.get(section)
             if sizes in spec and not all(isinstance(m, int) for m in spec[sizes]):
                 raise MalformedCertificate(f"entry: {sizes!r} must hold integers")

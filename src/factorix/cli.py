@@ -194,12 +194,27 @@ def cmd_repro(args: argparse.Namespace) -> int:
     return EXIT_OK if res["pass"] else EXIT_NEGATIVE
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """A budget in seconds: zero or more, so neither negative nor NaN."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number of seconds: {text}")
+    return value
+
+
 # The flags beyond --catalog and --json, each added only to the subcommands
 # that read it.
 _FLAGS: dict[str, dict] = {
-    "--threads": dict(type=int, default=os.cpu_count() or 1, metavar="N",
+    "--threads": dict(type=_positive_int, default=os.cpu_count() or 1, metavar="N",
                       help="forked worker processes for a case2 search (default: all cores)"),
-    "--budget": dict(type=float, default=None, metavar="SECONDS",
+    "--budget": dict(type=_seconds, default=None, metavar="SECONDS",
                      help="wall clock budget, overriding any catalog default"),
     "--cap-generic": dict(type=int, default=60, metavar="N",
                           help="largest group order the generic engine will accept"),

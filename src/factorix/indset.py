@@ -8,12 +8,12 @@ wants s pairwise disjoint blocks, where s*|B||D| = |G|/|A|.  s disjoint
 blocks of |B||D| cosets cover all |G|/|A| cosets exactly once, and an exact
 cover by s blocks is s disjoint blocks, so these are exactly the exact
 covers by s blocks.  The loop wants one cover per B, so the kernel stops at
-the first."""
+the first.  The loop calls it only for a B whose fitting blocks, between
+them, meet every coset (``search._block_fit``), so the kernel makes no such
+check of its own: a position that no block holds is never covered, so
+every branch fails there."""
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import or_
 
 from .group import iter_bits
 
@@ -29,8 +29,6 @@ def exact_cover(
     with the fewest fitting blocks (ties: the lowest position), trying them
     in index order."""
     full = (1 << n_positions) - 1
-    if full & ~reduce(or_, masks, 0):
-        return None  # a position that no block holds admits no cover
     holders = [0] * n_positions  # per position: the blocks containing it
     for i, m in enumerate(masks):
         while m:

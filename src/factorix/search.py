@@ -5,10 +5,12 @@ position comes from ``structure.cosets``, one pass over G;
 ``_right_cosets`` adds the punctured transversal, the representatives
 whose cosets hold no anchor element.  All three engines test candidates
 on masks of right A-cosets: ``_coset_masks`` gives, once per search, the
-cosets met by y*D for every element y.  Case1 and case3 decide x with
+cosets met by y*D for every element y.  Case1 decides x with
 ``_block_masks``, which ORs them over the rows of B into the mask of the
-block A*B*x*D, rejecting x at the first overlap; case2 reads all its
-accepted x at once off packed meet sets (``_meet_sets``).
+block A*B*x*D, rejecting x at the first overlap.  Case2 and case3 read all
+their x at once off packed meet sets: the meet set of w (``_meet_set``)
+holds, in part p of stride |G|+1, the x with w*x*D meeting coset p, and the
+top bit of each part is a guard bit.
 
 * case1: both end factors are subgroups, middle factors are enumerated
   over punctured transversals; A*B*C*D = G iff the block masks of the
@@ -23,7 +25,12 @@ accepted x at once off packed meet sets (``_meet_sets``).
   kept iff x = e passes the block test with |B||D| cosets (A*B*D is then
   distinct), and the remaining factor is an exact cover of the right
   A-cosets by blocks A*B*x*D of |B||D| cosets, found by the kernel in
-  ``factorix.indset``.
+  ``factorix.indset``.  A few big-int operations on the meet sets of B
+  (``_block_fit``) give the fitting x, those whose block has |B||D|
+  cosets, and whether their blocks meet every coset; a B that fails has
+  no cover, and gets no block masks and no kernel call.  The fitting x are
+  exactly those a full ``_block_masks`` scan of G accepts, so the kernel
+  sees the blocks it always saw.
 
 A generic normalized backtracker handles any pattern on small groups, and
 ``refute`` adds algebraic reductions for 2-...-2 patterns; the 2-b-c-2
@@ -250,22 +257,27 @@ def case1_search(
 # ---------------------------------------------------------------- case 2
 
 
-def _meet_sets(g: GroupTable, yd_masks: list[int], n_cosets: int, ws: Iterable[int]) -> dict[int, int]:
-    """For each w in ``ws``, one int with bit p*|G| + x set when w*x*D
-    meets right A-coset p.  Part p, the x of coset p, is the set of w^-1*y
-    over the y whose mask ``yd_masks[y]`` holds p: one list of those y per p
-    (|G||D| entries in all) serves every w, and each part is built as an
-    element bitset, then shifted into place."""
+def _coset_lists(yd_masks: list[int], n_cosets: int) -> list[list[int]]:
+    """Per right A-coset p, the y whose mask ``yd_masks[y]`` holds p (|G||D|
+    entries in all): the lists every meet set is built from."""
     met: list[list[int]] = [[] for _ in range(n_cosets)]
     for y, mask in enumerate(yd_masks):
         for p in iter_bits(mask):
             met[p].append(y)
-    packed = {}
-    for w in ws:
-        row = g.row(g.inv[w])
-        packed[w] = 0
-        for p, ys in enumerate(met):
-            packed[w] |= bits_of(map(row.__getitem__, ys)) << p * g.order
+    return met
+
+
+def _meet_set(g: GroupTable, met: list[list[int]], w: int) -> int:
+    """The meet set of w: one int with bit p*(|G|+1) + x set when w*x*D
+    meets right A-coset p.  Part p, the x of coset p, is the set of w^-1*y
+    over the y of ``met[p]`` (``_coset_lists``), built as an element bitset
+    and shifted into place; the top bit of each part, p*(|G|+1) + |G|, is a
+    guard bit and stays clear."""
+    row = g.row(g.inv[w])
+    stride = g.order + 1
+    packed = 0
+    for p, ys in enumerate(met):
+        packed |= bits_of(map(row.__getitem__, ys)) << p * stride
     return packed
 
 
@@ -287,11 +299,11 @@ def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadl
     cosets that A*B*D does not yet meet.  Every x outside A*B*D counts as
     examined.
 
-    C = {e, x} is read off packed meet sets.  The meet set of w
-    (``_meet_sets``) holds, in its part p (bits p*|G| to p*|G| + |G| - 1),
-    the x with w*x*D meeting right A-coset p; the recursion carries the OR
-    of the meet sets of the b chosen so far (zero for a (b,) search), so
-    adding w to B costs one OR.  At a completed B the accepted x are the
+    C = {e, x} is read off packed meet sets, built for every w up front.
+    The meet set of w (``_meet_set``) holds, in its part p (bits p*(|G|+1)
+    to p*(|G|+1) + |G| - 1), the x with w*x*D meeting right A-coset p; the
+    recursion carries the OR of the meet sets of the b chosen so far (zero
+    for a (b,) search), so adding w to B costs one OR.  At a completed B the accepted x are the
     bits of the AND of the union's parts p over the cosets p in M, the set
     of cosets A*B*D misses.  This is sound: |C| = 2 gives
     |G/A| = 2|B||D|, and A*B*D meets |B||D| cosets, so |M| = |B||D|.  The
@@ -319,9 +331,14 @@ def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadl
     _, coset_of, w_free = _right_cosets(a, last)
     yd = _coset_masks(g, last, coset_of)
     n, n_cosets = g.order, g.order // len(a)
+    stride = n + 1
     b_size, d_size = sizes[0], len(last)
     pair = len(sizes) == 2
-    meet = _meet_sets(g, yd, n_cosets, [0] + w_free) if pair else dict.fromkeys([0] + w_free, 0)
+    if pair:
+        met = _coset_lists(yd, n_cosets)
+        meet = {w: _meet_set(g, met, w) for w in [0] + w_free}
+    else:
+        meet = dict.fromkeys([0] + w_free, 0)
     full = (1 << n_cosets) - 1
     elements = (1 << n) - 1
     # the C candidates outside A*B*D, counted per completed B
@@ -350,7 +367,7 @@ def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadl
             examined += outside
             accepted = elements
             for p in iter_bits(full & ~mask):
-                accepted &= union >> p * n
+                accepted &= union >> p * stride
                 if not accepted:
                     return False
             b = (0,) + b_extra
@@ -437,6 +454,61 @@ def case2_search_reversed(
 # ---------------------------------------------------------------- case 3
 
 
+def _block_fit(
+    g: GroupTable, yd_masks: list[int], n_cosets: int, d_size: int,
+) -> Callable[[tuple[int, ...]], tuple[int, bool]]:
+    """The packed per-B test of ``_first_block_cover``: a function of B
+    giving (fit, covered), where fit is the element bitset of the x whose
+    block A*B*x*D meets |B||D| of the ``n_cosets`` right A-cosets, and
+    covered says whether those blocks together meet every coset.
+
+    Each w gets, on its first use, its meet set (``_meet_set``; part p of
+    stride |G|+1 holds the x with w*x*D meeting coset p) and F_w, the x
+    with w*x*D meeting |D| cosets.  Then fit is the AND over b in B of F_b,
+    minus the x where two b share a part: the OR of the pairwise ANDs of
+    the meet sets, folded onto part 0 by shift-ORs.  The shifts ceil(P/2),
+    ceil(P/4), ..., 1 of P parts sum, in subsets, to every offset below P.
+    With R the bits at the foot of every part, ``fit * R`` repeats fit in
+    each part; coset p lies in a fitting block iff part p of
+    (OR_b meet[b]) & fit*R is non-zero, and adding |G| ones to each part
+    carries into its guard bit exactly then.
+
+    This is the test ``_block_masks`` makes with a full scan of G.  x
+    passes there with |B||D| cosets iff the masks of b*x*D, b in B, are
+    pairwise disjoint and each has |D| cosets (none has more), i.e. iff x
+    is in every F_b and no two b share a part at x: x is in fit.  The
+    block mask of such an x is the set of p whose part holds x in some
+    meet[b], so the blocks of fit meet coset p iff part p of the masked
+    union is non-zero.  A coset outside every fitting block lies in no
+    exact cover, so a B that fails has none."""
+    n, stride = g.order, g.order + 1
+    met = _coset_lists(yd_masks, n_cosets)
+    good = [y for y, mask in enumerate(yd_masks) if mask.bit_count() == d_size]
+    feet = sum(1 << p * stride for p in range(n_cosets))
+    low, guards = feet * ((1 << n) - 1), feet << n
+    cache: dict[int, tuple[int, int]] = {}
+
+    def test(b: tuple[int, ...]) -> tuple[int, bool]:
+        union = dup = 0
+        fit = (1 << n) - 1
+        for w in b:
+            if w not in cache:
+                row = g.row(g.inv[w])
+                cache[w] = (_meet_set(g, met, w), bits_of(map(row.__getitem__, good)))
+            meet, full_x = cache[w]
+            dup |= union & meet
+            union |= meet
+            fit &= full_x
+        shift = n_cosets
+        while shift > 1:
+            shift = (shift + 1) // 2
+            dup |= dup >> shift * stride
+        fit &= ~dup
+        return fit, ((union & fit * feet) + low) & guards == guards
+
+    return test
+
+
 def _first_block_cover(
     a: Subgroup, d: FactorSet, b_size: int, c_size: int, b_pool: list[int],
     yd_masks: list[int], n_cosets: int, deadline: _Deadline,
@@ -444,13 +516,20 @@ def _first_block_cover(
     """The per-B loop of case3 and the block-cover scan.  B runs over e plus
     ``b_size - 1`` elements of ``b_pool``, until the deadline expires, and
     each B counts as examined.  B is built only when x = e passes the block
-    test (``_block_masks``) with |B||D| cosets, i.e. A*B*D is distinct; the
-    blocks are then the x of G whose block A*B*x*D has |B||D| of the
-    ``n_cosets`` right A-cosets, and C is the first exact cover of the
-    cosets by ``c_size`` of them (``exact_cover``).  Returns (examined,
-    builds, the raw factors of the first factorization found or None)."""
+    test (``_block_masks``) with |B||D| cosets, i.e. A*B*D is distinct.  A
+    built B takes the packed test (``_block_fit``): fit, the x of G whose
+    block A*B*x*D has |B||D| of the ``n_cosets`` right A-cosets, and
+    whether those blocks meet every coset.  A coset that no fitting block
+    meets admits no cover, so only a B that passes gets its blocks, x of
+    fit ascending, and C is the first exact cover of the cosets by
+    ``c_size`` of them (``exact_cover``).  Since fit and the coverage
+    verdict are those of a full ``_block_masks`` scan of G, the kernel gets
+    the list it always got, and is skipped only where no cover exists.
+    Returns (examined, builds, the raw factors of the
+    first factorization found or None)."""
     g = a.group
     need = b_size * len(d)
+    fitting = _block_fit(g, yd_masks, n_cosets, len(d))
     examined = builds = 0
     for b_extra in combinations(b_pool, b_size - 1):
         if deadline.expired():
@@ -461,8 +540,10 @@ def _first_block_cover(
         if not any(mask.bit_count() == need for _, mask in _block_masks(rows, yd_masks, (0,))):
             continue
         builds += 1
-        blocks = [(x, mask) for x, mask in _block_masks(rows, yd_masks, range(g.order))
-                  if mask.bit_count() == need]
+        fit, covered = fitting(b)
+        if not covered:
+            continue
+        blocks = list(_block_masks(rows, yd_masks, iter_bits(fit)))
         cover = exact_cover([mask for _, mask in blocks], n_cosets, c_size)
         if cover is not None:
             return examined, builds, (a.indices, b, tuple(sorted(blocks[i][0] for i in cover)), d.indices)

@@ -9,6 +9,7 @@ from factorix.certify import Certificate, Verdict, product_distinct, to_dict
 from factorix.group import FactorSet, GroupTable, bits_of, generate_group
 from factorix.patterns import prime_factors
 from factorix.perm import Perm, compose, parse_cycles
+from factorix.search import _block_masks
 from factorix.structure import Subgroup
 
 
@@ -51,6 +52,21 @@ def reference_verdict(cert: Certificate) -> Verdict:
     if size != g.order:
         return Verdict(False, None, size, f"product covers {size} of {g.order}")
     return Verdict(True, None, size)
+
+
+def block_fit_reference(group: GroupTable, yd_masks: list[int], b: tuple[int, ...],
+                        n_cosets: int, d_size: int) -> tuple[int, bool]:
+    """The fitting blocks of B by a full scan of G: the x whose block
+    A*B*x*D (``_block_masks`` over the rows of B) meets |B||D| of the
+    ``n_cosets`` right A-cosets, as an element bitset, and whether those
+    blocks together meet every coset."""
+    need = len(b) * d_size
+    fit = union = 0
+    for x, mask in _block_masks([group.row(w) for w in b], yd_masks, range(group.order)):
+        if mask.bit_count() == need:
+            fit |= 1 << x
+            union |= mask
+    return fit, union == (1 << n_cosets) - 1
 
 
 def canonical(cert: Certificate) -> str:

@@ -72,6 +72,29 @@ def test_unread_flag_is_a_usage_error(capsys, argv):
     assert time.monotonic() - start < 0.5
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "search-lemma-3.5", "--threads", "0"],
+    ["search", "search-lemma-3.5", "--threads", "-3"],
+    ["repro", "all", "--threads", "0"],
+    ["repro", "all", "--threads", "-3"],
+    ["search", "search-lemma-3.5", "--budget", "nan"],
+    ["search", "search-lemma-3.5", "--budget", "-1"],
+    ["refute", "refute-a4-232", "--budget", "nan"],
+    ["refute", "refute-a4-232", "--budget", "-1"],
+    ["multifold", "group-s4", "--budget", "nan"],
+    ["multifold", "group-s4", "--budget", "-0.5"],
+])
+def test_bad_threads_or_budget_is_a_usage_error(capsys, argv):
+    """A thread count below 1, and a NaN or negative budget, are rejected by
+    the parser before any catalog or group table is read."""
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[2]}: must be a" in capsys.readouterr().err
+    assert time.monotonic() - start < 0.5
+
+
 def test_verify_catalog_id(capsys):
     rc, out, _ = run(capsys, "verify", "lemma-3.5")
     assert rc == 0
@@ -428,12 +451,16 @@ def _set(section, entry_id, key, value):
     (lambda data: data["double_cosets"][0].pop("b"), ["repro", "double-cosets"]),
     (_set("refutations", "refute-a4-232", "budget_s", "10"), ["refute", "refute-a4-232"]),
     (_set("refutations", "refute-a4-232", "pattern", ["2", "3", "2"]), ["refute", "refute-a4-232"]),
+    (_set("refutations", "refute-a4-232", "budget_s", float("nan")), ["refute", "refute-a4-232"]),
+    (_set("refutations", "refute-a4-232", "budget_s", -1), ["refute", "refute-a4-232"]),
+    (_set("searches", "search-lemma-3.5", "budget_s", -0.5), ["search", "search-lemma-3.5"]),
     (lambda data: data["multifold"]["group-168"]["classes"]["2,2,2,7,3"].__setitem__(
         "a_certificate", ["word-g168p2-222"]), ["multifold", "group-168"]),
 ], ids=["group-no-degree", "group-string", "group-no-order", "cert-no-pattern", "cert-string",
         "subgroup-no-order", "search-no-middle", "refutation-no-pattern", "multifold-string",
         "lift-no-subgroup", "double-coset-no-b", "refutation-string-budget",
-        "refutation-string-pattern", "sandwich-list-certificate"])
+        "refutation-string-pattern", "refutation-nan-budget", "refutation-negative-budget",
+        "search-negative-budget", "sandwich-list-certificate"])
 def test_catalog_wrong_entry_shape_exit2(tmp_path, capsys, cat, mutate, argv):
     data = copy.deepcopy(cat.data)
     mutate(data)

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -14,12 +14,12 @@ from factorix.group import FactorSet, iter_bits
 from factorix import search
 from factorix.perm import parse_cycles
 from factorix.search import (
-    AnchorInvalid, _block_masks, _coset_masks, _meet_sets, _right_cosets,
+    AnchorInvalid, _block_fit, _block_masks, _coset_lists, _coset_masks, _meet_set, _right_cosets,
     case1_search, case2_search, case2_search_reversed, case3_search,
     conjugacy_class, generic_search, involution_class_reps, refute,
 )
-from factorix.structure import cosets, subgroup_from_perms
-from helpers import fs, group_from
+from factorix.structure import cosets, subgroup_from_indices, subgroup_from_perms
+from helpers import block_fit_reference, fs, group_from
 
 
 def sub(group, *texts):
@@ -355,28 +355,34 @@ def leaf_anchor(request, cat):
 
 
 def test_meet_sets_match_brute_force(leaf_anchor):
+    """Part p of w's meet set, at stride |G|+1, holds the x with w*x*D
+    meeting coset p; every guard bit p*(|G|+1) + |G| is clear."""
     a, d, _, yd, w_free = leaf_anchor
     g = a.group
     cosets = g.order // len(a)
-    meet = _meet_sets(g, yd, cosets, [0] + w_free)
-    assert sorted(meet) == sorted([0] + w_free)
-    for w, packed in meet.items():
+    stride = g.order + 1
+    met = _coset_lists(yd, cosets)
+    guards = sum(1 << p * stride + g.order for p in range(cosets))
+    for w in [0] + w_free:
+        packed = _meet_set(g, met, w)
         row = g.row(w)
         ref = [sum(1 << x for x in range(g.order) if yd[row[x]] >> p & 1) for p in range(cosets)]
-        assert packed == sum(ref[p] << p * g.order for p in range(cosets))
+        assert packed == sum(ref[p] << p * stride for p in range(cosets))
+        assert not packed & guards
 
 
 def test_case2_leaf_accepts_what_block_masks_accepts(leaf_anchor):
     """For every completed B, the x read off the AND, over the cosets p that
     A*B*D misses, of part p of the OR of the packed meet sets of b in B
-    (bits p*|G| to p*|G| + |G| - 1) are the x whose block masks are
-    disjoint and fill G; the engine emits exactly those."""
+    (bits p*(|G|+1) to p*(|G|+1) + |G| - 1) are the x whose block masks
+    are disjoint and fill G; the engine emits exactly those."""
     a, d, b_size, yd, w_free = leaf_anchor
     g = a.group
     cosets = g.order // len(a)
     full = (1 << cosets) - 1
     elements = (1 << g.order) - 1
-    meet = _meet_sets(g, yd, cosets, [0] + w_free)
+    met = _coset_lists(yd, cosets)
+    meet = {w: _meet_set(g, met, w) for w in [0] + w_free}
     want = set()
     completed = 0
     for extra in combinations(w_free, b_size - 1):
@@ -393,7 +399,7 @@ def test_case2_leaf_accepts_what_block_masks_accepts(leaf_anchor):
             for p in iter_bits(full & ~mask):
                 union = 0
                 for w in b:
-                    union |= meet[w] >> p * g.order & elements
+                    union |= meet[w] >> p * (g.order + 1) & elements
                 accepted &= union
             assert set(iter_bits(accepted)) == ref
             want.update((tuple(sorted(b)), x) for x in ref)
@@ -621,18 +627,73 @@ def test_refute_block_cover_reuses_found_scan():
 
 
 def test_block_cover_scan_work_pinned(a5, monkeypatch):
-    """The A5 (2,3,5,2) scan examines all 6090 (d, B) instances but hands
-    only the 4368 with A*B*D distinct to the kernel; its reversal (2,5,3,2)
-    reuses the completed scan and calls the kernel no more."""
+    """The A5 (2,3,5,2) scan examines all 6090 (d, B) instances and builds
+    the 4368 with A*B*D distinct, but hands none of them to the kernel:
+    each has a right A-coset that no fitting block meets.  Its reversal
+    (2,5,3,2) reuses the completed scan and builds no more."""
     monkeypatch.setattr(search, "_BLOCK_COVER_SCANS", weakref.WeakKeyDictionary())
-    calls = []
-    kernel = search.exact_cover
+    calls, builds = [], []
+    kernel, loop = search.exact_cover, search._first_block_cover
+
+    def counted_loop(*args):
+        examined, built, raw = loop(*args)
+        builds.append(built)
+        return examined, built, raw
+
     monkeypatch.setattr(search, "exact_cover", lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(search, "_first_block_cover", counted_loop)
     rec = refute(a5, (2, 3, 5, 2))
-    assert (rec.verdict, rec.strategy, rec.instances_examined, len(calls)) == ("NONE", "block-cover", 6090, 4368)
+    assert (rec.verdict, rec.strategy, rec.instances_examined) == ("NONE", "block-cover", 6090)
+    assert (sum(builds), len(calls)) == (4368, 0)
     again = refute(a5, (2, 5, 3, 2))
-    assert (again.verdict, again.instances_examined, len(calls)) == ("NONE", 6090, 4368)
+    assert (again.verdict, again.instances_examined, sum(builds), len(calls)) == ("NONE", 6090, 4368, 0)
     assert again.notes == "reused the completed block-cover scan of (2, 3, 5, 2)"
+
+
+@pytest.mark.parametrize("generators, pattern, instances, covered", [
+    ((4, "(1,2)(3,4)", "(1,2,3)"), (2, 1, 3, 2), 3, 0),
+    ((6, "(1,2)", "(3,4)", "(5,6)"), (2, 1, 2, 2), 49, 42),
+    ((5, "(1,2,3,4,5)", "(1,2,3)"), (2, 3, 5, 2), 6090, 0),
+], ids=["a4", "c2-cubed", "a5"])
+def test_block_fit_matches_full_scan_on_block_cover_scans(generators, pattern, instances, covered):
+    """For every (d, B) of a block-cover scan, involution class by class,
+    the packed test gives the fitting blocks and the coverage verdict of a
+    full ``_block_masks`` scan of G."""
+    g = group_from(*generators)
+    b_size = min(pattern[1:3])
+    seen = passed = 0
+    for a_rep in involution_class_reps(g):
+        reps, coset_of = cosets(subgroup_from_indices(g, (0, a_rep)))
+        for d in search._involutions(g):
+            yd = _coset_masks(g, FactorSet(g, (0, d)), coset_of)
+            fitting = _block_fit(g, yd, len(reps), 2)
+            for extra in combinations(reps[1:], b_size - 1):
+                b = (0,) + extra
+                got = fitting(b)
+                assert got == block_fit_reference(g, yd, b, len(reps), 2)
+                seen += 1
+                passed += got[1]
+    assert (seen, passed) == (instances, covered)
+
+
+@pytest.mark.parametrize("search_id", ["case3-lemma-3.6", "case3-lemma-4.6"])
+def test_block_fit_matches_full_scan_on_case3(cat, search_id):
+    """The packed test agrees with a full scan of G on every B case3
+    examines, and the B it stops at has every coset in a fitting block."""
+    spec = cat.search(search_id)
+    g = cat.group(spec["group"])
+    a, d = cat.anchor(g, spec["first"]), cat.anchor(g, spec["last"])
+    reps, coset_of, w_free = _right_cosets(a, d)
+    yd = _coset_masks(g, d, coset_of)
+    fitting = _block_fit(g, yd, len(reps), len(d))
+    rep = case3_search(a, d, spec["b_size"], spec["c_size"])
+    verdicts = []
+    for extra in islice(combinations(w_free, spec["b_size"] - 1), rep.candidates_examined):
+        b = (0,) + extra
+        got = fitting(b)
+        assert got == block_fit_reference(g, yd, b, len(reps), len(d))
+        verdicts.append(got[1])
+    assert rep.solutions and verdicts[-1]
 
 
 def test_refute_generic_found(s3):
