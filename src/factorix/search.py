@@ -21,16 +21,16 @@ top bit of each part is a guard bit.
   of the AND, over those cosets, of their parts of the OR of B's meet
   sets.  The setup is built once per search and one closure runs each
   chunk of B, in this process or in forked workers.
-* case3: subgroup end, fixed set end, one enumerated middle factor; B is
-  kept iff x = e passes the block test with |B||D| cosets (A*B*D is then
-  distinct), and the remaining factor is an exact cover of the right
-  A-cosets by blocks A*B*x*D of |B||D| cosets, found by the kernel in
-  ``factorix.indset``.  A few big-int operations on the meet sets of B
-  (``_block_fit``) give the fitting x, those whose block has |B||D|
-  cosets, and whether their blocks meet every coset; a B that fails has
-  no cover, and gets no block masks and no kernel call.  The fitting x are
-  exactly those a full ``_block_masks`` scan of G accepts, so the kernel
-  sees the blocks it always saw.
+* case3: subgroup end, fixed set end, one enumerated middle factor; the
+  remaining factor is an exact cover of the right A-cosets by blocks
+  A*B*x*D of |B||D| cosets, found by the kernel in ``factorix.indset``.
+  A few big-int operations on the meet sets of B (``_block_fit``) give the
+  fitting x, those whose block has |B||D| cosets, and whether their blocks
+  meet every coset.  B is kept iff e is a fitting x (A*B*D is then
+  distinct); a kept B that fails the coverage test has no cover, and gets
+  no block masks and no kernel call.  The fitting x are exactly those a
+  full ``_block_masks`` scan of G accepts, so the kernel sees the blocks it
+  always saw.
 
 A generic normalized backtracker handles any pattern on small groups, and
 ``refute`` adds algebraic reductions for 2-...-2 patterns; the 2-b-c-2
@@ -104,7 +104,13 @@ class RefutationRecord:
 
 
 class _Deadline:
+    """The wall-clock budget of one engine call (None: no budget), and the
+    library's one check of it: NaN, which no clock passes, or a negative
+    budget raises ``ValueError``."""
+
     def __init__(self, budget_s: float | None):
+        if budget_s is not None and not budget_s >= 0:
+            raise ValueError(f"budget_s must be a non-negative number, not {budget_s!r}")
         self.t0 = time.monotonic()
         self.limit = None if budget_s is None else self.t0 + budget_s
         self.hit = False
@@ -161,7 +167,13 @@ def _right_cosets(h: Subgroup, anchor: FactorSet, side: str = "right") -> tuple[
     (the least element of each right H-coset, or left H-coset with
     ``side="left"``, and each element's coset position) plus the punctured
     transversal, i.e. the representatives whose cosets hold no element of
-    ``anchor``."""
+    ``anchor``.  It is where the engines check their anchors: both lie in
+    one group, ``anchor`` contains the identity, and its elements lie in
+    distinct cosets."""
+    if anchor.group is not h.group:
+        raise AnchorInvalid("anchors live in different groups")
+    if not anchor.contains_identity():
+        raise AnchorInvalid("the set anchor must contain the identity")
     reps, coset_of = cosets(h, side)
     blocked = {coset_of[x] for x in anchor.indices}
     if len(blocked) != len(anchor):
@@ -175,15 +187,13 @@ def _coset_masks(g: GroupTable, d: FactorSet, coset_of: list[int]) -> list[int]:
     return [bits_of(coset_of[row[dd]] for dd in d.indices) for row in map(g.row, range(g.order))]
 
 
-def _block_masks(
-    rows: list[list[int]], yd_masks: list[int], xs: Iterable[int], base: int = 0,
-) -> Iterator[tuple[int, int]]:
-    """The block mask every anchored engine tests: for each x in ``xs``
-    whose masks ``yd_masks[row[x]]``, row in ``rows`` (the rows of B's
-    elements b, so the cosets met by b*x*D), are pairwise disjoint and miss
-    ``base``, yield x and the union of those masks with ``base``."""
+def _block_masks(rows: list[list[int]], yd_masks: list[int], xs: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The block mask of case1 and of the blocks case3 hands the kernel:
+    for each x in ``xs`` whose masks ``yd_masks[row[x]]``, row in ``rows``
+    (the rows of B's elements b, so the cosets met by b*x*D), are pairwise
+    disjoint, yield x and the union of those masks."""
     for x in xs:
-        m = base
+        m = 0
         for row in rows:
             y = yd_masks[row[x]]
             if m & y:
@@ -210,17 +220,12 @@ def case1_search(
     (``_block_masks``; a c whose masks overlap has none and fails), then
     per C the union of its blocks."""
     g = a.group
-    if d.group is not g:
-        raise AnchorInvalid("anchors live in different groups")
+    w_reps, coset_of, w_free = _right_cosets(a, d)
     if len(middle_sizes) != 2:
         raise AnchorInvalid("case1 expects exactly two middle factors")
     b_size, c_size = middle_sizes
-    m_total = len(a) * b_size * c_size * len(d)
-    if m_total != g.order:
-        raise AnchorInvalid("pattern does not multiply to the group order")
+    _check_sizes((len(a), b_size, c_size, len(d)), g.order)
     deadline = _Deadline(budget_s)
-
-    w_reps, coset_of, w_free = _right_cosets(a, d)
     v_free = _right_cosets(d, a, side="left")[2]
 
     space = comb(len(w_free), b_size - 1) * comb(len(v_free), c_size - 1)
@@ -310,8 +315,8 @@ def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadl
     blocks b*x*D, b in B, meet at most |B||D| cosets counted with
     multiplicity; if they meet every coset in M, each meets |D| cosets,
     they are pairwise disjoint and they miss A*B*D, so A*B*C*D = G.  The
-    converse is plain, so the AND holds exactly the x that pass
-    ``_block_masks`` with B's rows, base A*B*D and a full union.
+    converse is plain, so the AND holds exactly the x whose ``_block_masks``
+    union over B's rows misses A*B*D and fills the rest of the cosets.
 
     The setup is built once, and the closure ``chunk`` runs once per least
     non-identity B element (once in all when |B| = 1): in this process, or,
@@ -320,15 +325,10 @@ def _case2_enumerate(a: Subgroup, last: FactorSet, sizes: tuple[int, ...], deadl
     order and stop at the first chunk that ran out of budget, so counts and
     answers do not depend on ``threads``."""
     g = a.group
-    if last.group is not g:
-        raise AnchorInvalid("anchors live in different groups")
-    if not last.contains_identity():
-        raise AnchorInvalid("the set anchor must contain the identity")
+    _, coset_of, w_free = _right_cosets(a, last)
     if not sizes or sizes[1:] not in ((), (2,)):
         raise AnchorInvalid("case2 supports the middle sizes (b,) and (b,2) only")
-    if len(a) * prod(sizes) * len(last) != g.order:
-        raise AnchorInvalid("pattern does not multiply to the group order")
-    _, coset_of, w_free = _right_cosets(a, last)
+    _check_sizes((len(a),) + sizes + (len(last),), g.order)
     yd = _coset_masks(g, last, coset_of)
     n, n_cosets = g.order, g.order // len(a)
     stride = n + 1
@@ -514,36 +514,34 @@ def _first_block_cover(
     yd_masks: list[int], n_cosets: int, deadline: _Deadline,
 ) -> tuple[int, int, tuple[tuple[int, ...], ...] | None]:
     """The per-B loop of case3 and the block-cover scan.  B runs over e plus
-    ``b_size - 1`` elements of ``b_pool``, until the deadline expires, and
-    each B counts as examined.  B is built only when x = e passes the block
-    test (``_block_masks``) with |B||D| cosets, i.e. A*B*D is distinct.  A
-    built B takes the packed test (``_block_fit``): fit, the x of G whose
-    block A*B*x*D has |B||D| of the ``n_cosets`` right A-cosets, and
-    whether those blocks meet every coset.  A coset that no fitting block
-    meets admits no cover, so only a B that passes gets its blocks, x of
-    fit ascending, and C is the first exact cover of the cosets by
-    ``c_size`` of them (``exact_cover``).  Since fit and the coverage
-    verdict are those of a full ``_block_masks`` scan of G, the kernel gets
-    the list it always got, and is skipped only where no cover exists.
-    Returns (examined, builds, the raw factors of the
-    first factorization found or None)."""
+    ``b_size - 1`` elements of ``b_pool`` (ascending, so B is sorted),
+    until the deadline expires, and each B counts as examined.  Each B
+    takes the packed test (``_block_fit``): fit, the x of G whose block
+    A*B*x*D has |B||D| of the ``n_cosets`` right A-cosets, and whether
+    those blocks meet every coset.  B is built when e is in fit, i.e.
+    A*B*D is distinct.  A coset that no fitting block meets admits no
+    cover, so only a built B that passes gets its blocks, x of fit
+    ascending, and C is the first exact cover of the cosets by ``c_size``
+    of them (``exact_cover``).  Since fit and the coverage verdict are
+    those of a full ``_block_masks`` scan of G, the kernel gets the list it
+    always got, and is skipped only where no cover exists.  Returns
+    (examined, builds, the raw factors of the first factorization found or
+    None)."""
     g = a.group
-    need = b_size * len(d)
     fitting = _block_fit(g, yd_masks, n_cosets, len(d))
     examined = builds = 0
     for b_extra in combinations(b_pool, b_size - 1):
         if deadline.expired():
             break
         examined += 1
-        b = tuple(sorted((0,) + b_extra))
-        rows = [g.row(bb) for bb in b]
-        if not any(mask.bit_count() == need for _, mask in _block_masks(rows, yd_masks, (0,))):
+        b = (0,) + b_extra
+        fit, covered = fitting(b)
+        if not fit & 1:
             continue
         builds += 1
-        fit, covered = fitting(b)
         if not covered:
             continue
-        blocks = list(_block_masks(rows, yd_masks, iter_bits(fit)))
+        blocks = list(_block_masks([g.row(w) for w in b], yd_masks, iter_bits(fit)))
         cover = exact_cover([mask for _, mask in blocks], n_cosets, c_size)
         if cover is not None:
             return examined, builds, (a.indices, b, tuple(sorted(blocks[i][0] for i in cover)), d.indices)
@@ -562,15 +560,9 @@ def case3_search(
     cover the right A-cosets, so |A||B||C||D| = |G| (``_first_block_cover``,
     the loop the block-cover scan runs too)."""
     g = a.group
-    if d.group is not g or not d.contains_identity():
-        raise AnchorInvalid("last-factor anchor must contain the identity")
-    m = len(a) * b_size * len(d)
-    if g.order % m:
-        raise AnchorInvalid("block size does not divide the group order")
-    if g.order // m != c_size:
-        raise AnchorInvalid("cover size inconsistent with pattern")
-    deadline = _Deadline(budget_s)
     reps, coset_of, w_free = _right_cosets(a, d)
+    _check_sizes((len(a), b_size, c_size, len(d)), g.order)
+    deadline = _Deadline(budget_s)
     yd_masks = _coset_masks(g, d, coset_of)
     examined, builds, raw = _first_block_cover(a, d, b_size, c_size, w_free, yd_masks, len(reps), deadline)
     return _report("case3", g, (len(a), b_size, c_size, len(d)), deadline, [raw] if raw else [], False,
@@ -680,15 +672,13 @@ def _involutions(group: GroupTable) -> list[int]:
     return [x for x in range(group.order) if group.element_orders[x] == 2]
 
 
-def _scan_parity(group: GroupTable, a_rep: int, m: int,
+def _scan_parity(group: GroupTable, a_rep: int,
                  deadline: _Deadline) -> tuple[str, int, tuple[tuple[int, ...], ...] | None]:
-    """Pattern (2, m, 2): a factorization exists for last factor {e, d} iff
-    every cycle of pi_d on the right-A cosets is even; build one by
-    alternating along the cycles (its raw factors, verified by ``refute``)."""
+    """Pattern (2, m, 2), 4m = |G|: a factorization exists for last factor
+    {e, d} iff every cycle of pi_d on the right-A cosets is even; build one
+    by alternating along the cycles (its raw factors, verified by ``refute``)."""
     a = subgroup_from_indices(group, (0, a_rep))
     n_pos = group.order // 2
-    if 2 * m != n_pos:
-        raise AnchorInvalid("middle size incompatible with (2, m, 2)")
     reps, coset_of = cosets(a)
     examined = 0
     for d in _involutions(group):
@@ -792,7 +782,6 @@ def refute(
         and pattern[0] == 2
         and pattern[-1] == 2
         and _two_ended(group)
-        and group.order % 4 == 0
     )
     if strategy == "reduction" and not two_ended:
         raise AnchorInvalid("pattern does not admit the 2-...-2 reduction")
@@ -803,7 +792,7 @@ def refute(
         best = "NONE"
         for a_rep in involution_class_reps(group):
             if len(pattern) == 3:
-                verdict, examined, raw = _scan_parity(group, a_rep, pattern[1], deadline)
+                verdict, examined, raw = _scan_parity(group, a_rep, deadline)
             else:
                 key = (a_rep,) + tuple(sorted(pattern[1:3]))
                 done = _BLOCK_COVER_SCANS.setdefault(group, {})

@@ -456,11 +456,15 @@ def _set(section, entry_id, key, value):
     (_set("searches", "search-lemma-3.5", "budget_s", -0.5), ["search", "search-lemma-3.5"]),
     (lambda data: data["multifold"]["group-168"]["classes"]["2,2,2,7,3"].__setitem__(
         "a_certificate", ["word-g168p2-222"]), ["multifold", "group-168"]),
+    (_set("searches", "case3-lemma-3.6", "b_size", 0), ["search", "case3-lemma-3.6"]),
+    (lambda data: data["searches"]["case3-lemma-3.6"].update(b_size=-2, c_size=-7),
+     ["search", "case3-lemma-3.6"]),
 ], ids=["group-no-degree", "group-string", "group-no-order", "cert-no-pattern", "cert-string",
         "subgroup-no-order", "search-no-middle", "refutation-no-pattern", "multifold-string",
         "lift-no-subgroup", "double-coset-no-b", "refutation-string-budget",
         "refutation-string-pattern", "refutation-nan-budget", "refutation-negative-budget",
-        "search-negative-budget", "sandwich-list-certificate"])
+        "search-negative-budget", "sandwich-list-certificate", "case3-zero-b-size",
+        "case3-negative-sizes"])
 def test_catalog_wrong_entry_shape_exit2(tmp_path, capsys, cat, mutate, argv):
     data = copy.deepcopy(cat.data)
     mutate(data)

@@ -11,7 +11,7 @@ from factorix.certify import verify_certificate
 from factorix.driver import (
     RecipeInvalid, build_recipe, multifold, repro, run_refutation, run_search,
 )
-from factorix.search import case2_search
+from factorix.search import case2_search, case3_search, generic_search, refute
 
 
 def test_build_explicit_full_group(cat):
@@ -304,3 +304,27 @@ def test_run_search_verifies_each_reported_certificate_once(cat, monkeypatch, se
     res = run_search(cat, search_id, threads=1, with_solutions=True)
     assert res["pass"] and len(res["solutions"]) == solutions
     assert len(calls) == solutions
+
+
+LIBRARY_ENTRIES = {
+    "refute": lambda cat, budget: refute(cat.group("group-a5"), (2, 15, 2), budget_s=budget),
+    "run_search": lambda cat, budget: run_search(cat, "search-lemma-3.5", budget_s=budget),
+    "case2_search": lambda cat, budget: case2_search(
+        cat.anchor(cat.group("group-168"), "g168-a12"),
+        cat.anchor(cat.group("group-168"), ["()", "(2,4,7,6)(3,5)"]), (7,), budget_s=budget),
+    "case3_search": lambda cat, budget: case3_search(
+        cat.anchor(cat.group("group-168"), "g168-h6"),
+        cat.anchor(cat.group("group-168"), ["()", "(1,5)(2,7,4,6)"]), 2, 7, budget_s=budget),
+    "generic_search": lambda cat, budget: generic_search(cat.group("group-a5"), (2, 30), budget_s=budget),
+    "multifold": lambda cat, budget: multifold(cat, "group-s4", budget_s=budget),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LIBRARY_ENTRIES))
+@pytest.mark.parametrize("budget", [float("nan"), -1.0], ids=["nan", "negative"])
+def test_library_rejects_nan_and_negative_budgets(cat, budget, entry):
+    """A NaN budget, which no clock passes, would run unbounded and a
+    negative one would stop at once; every library entry point refuses
+    both."""
+    with pytest.raises(ValueError, match="^budget_s must be a non-negative number"):
+        LIBRARY_ENTRIES[entry](cat, budget)

@@ -205,15 +205,29 @@ def test_case2_anchor_validation(s4):
         case2_search(a, fs(s4, "()", "(1,2)(3,4)"), (2, 3), budget_s=0.0)
 
 
-def test_case2_set_anchor_without_identity(s4):
+# Each anchored engine on a subgroup anchor A and a second anchor D (a
+# subgroup for case1) of matching sizes: |A| = 3, |D| = 2 and middle sizes
+# 2, 2 in S4.
+ANCHORED_ENGINES = {
+    "case1": lambda a, d: case1_search(a, d, (2, 2)),
+    "case2": lambda a, d: case2_search(a, d, (2, 2)),
+    "case2-reversed": lambda a, d: case2_search_reversed(d, a, (2, 2)),
+    "case3": lambda a, d: case3_search(a, d, 2, 2),
+}
+
+
+@pytest.mark.parametrize("engine", ["case2", "case2-reversed", "case3"])
+def test_case2_set_anchor_without_identity(s4, engine):
     """The set anchor is first in a reversed search and last otherwise, so
-    the error when it lacks e names neither side."""
-    c3 = sub(s4, "(1,2,3)")
-    no_e = fs(s4, "(1,4)(2,3)", "(1,2)")
+    the error when it lacks e names neither side; case3 gives the same."""
     with pytest.raises(AnchorInvalid, match="^the set anchor must contain the identity$"):
-        case2_search(c3, no_e, (2, 2))
-    with pytest.raises(AnchorInvalid, match="^the set anchor must contain the identity$"):
-        case2_search_reversed(no_e, c3, (2, 2))
+        ANCHORED_ENGINES[engine](sub(s4, "(1,2,3)"), fs(s4, "(1,4)(2,3)", "(1,2)"))
+
+
+@pytest.mark.parametrize("engine", sorted(ANCHORED_ENGINES))
+def test_anchors_in_different_groups(s4, a4, engine):
+    with pytest.raises(AnchorInvalid, match="^anchors live in different groups$"):
+        ANCHORED_ENGINES[engine](sub(s4, "(1,2,3)"), sub(a4, "(1,2)(3,4)"))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -394,7 +408,8 @@ def test_case2_leaf_accepts_what_block_masks_accepts(leaf_anchor):
             mask |= yd[w]
         else:
             completed += 1
-            ref = {x for x, m in _block_masks([g.row(w) for w in b], yd, range(g.order), mask) if m == full}
+            rows = [g.row(w) for w in b]
+            ref = {x for x, m in _block_masks(rows, yd, range(g.order)) if not m & mask and m | mask == full}
             accepted = -1
             for p in iter_bits(full & ~mask):
                 union = 0
@@ -500,6 +515,9 @@ def test_case3_anchor_validation(a4):
         case3_search(a, FactorSet(a4, (0,)), 2, 3)
     with pytest.raises(AnchorInvalid):
         case3_search(a, fs(a4, "()", "(1,2,3)"), 1, 2)
+    for b_size, c_size in ((0, 4), (-2, -2)):
+        with pytest.raises(AnchorInvalid, match="^factor sizes must be positive$"):
+            case3_search(a, FactorSet(a4, (0,)), b_size, c_size)
 
 
 @pytest.mark.parametrize("group_name, a_gens, d_texts, b_size, c_size, builds", [
@@ -628,12 +646,13 @@ def test_refute_block_cover_reuses_found_scan():
 
 def test_block_cover_scan_work_pinned(a5, monkeypatch):
     """The A5 (2,3,5,2) scan examines all 6090 (d, B) instances and builds
-    the 4368 with A*B*D distinct, but hands none of them to the kernel:
-    each has a right A-coset that no fitting block meets.  Its reversal
-    (2,5,3,2) reuses the completed scan and builds no more."""
+    the 4368 with A*B*D distinct, read off the packed fit, but makes no
+    block mask and hands none of them to the kernel: each has a right
+    A-coset that no fitting block meets.  Its reversal (2,5,3,2) reuses the
+    completed scan and builds no more."""
     monkeypatch.setattr(search, "_BLOCK_COVER_SCANS", weakref.WeakKeyDictionary())
-    calls, builds = [], []
-    kernel, loop = search.exact_cover, search._first_block_cover
+    calls, builds, masked = [], [], []
+    kernel, loop, block_masks = search.exact_cover, search._first_block_cover, search._block_masks
 
     def counted_loop(*args):
         examined, built, raw = loop(*args)
@@ -642,9 +661,10 @@ def test_block_cover_scan_work_pinned(a5, monkeypatch):
 
     monkeypatch.setattr(search, "exact_cover", lambda *args: calls.append(args) or kernel(*args))
     monkeypatch.setattr(search, "_first_block_cover", counted_loop)
+    monkeypatch.setattr(search, "_block_masks", lambda *args: masked.append(args) or block_masks(*args))
     rec = refute(a5, (2, 3, 5, 2))
     assert (rec.verdict, rec.strategy, rec.instances_examined) == ("NONE", "block-cover", 6090)
-    assert (sum(builds), len(calls)) == (4368, 0)
+    assert (sum(builds), len(calls), len(masked)) == (4368, 0, 0)
     again = refute(a5, (2, 5, 3, 2))
     assert (again.verdict, again.instances_examined, sum(builds), len(calls)) == ("NONE", 6090, 4368, 0)
     assert again.notes == "reused the completed block-cover scan of (2, 3, 5, 2)"
