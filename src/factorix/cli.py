@@ -17,7 +17,7 @@ from .certify import MalformedCertificate, load_json, to_dict
 from .driver import RecipeInvalid, multifold, repro, run_refutation, run_search
 from .group import ElementNotInGroup, OrderCapExceeded
 from .patterns import enumerate_reversal_classes, palindrome_count, word_count
-from .search import AnchorInvalid, refute
+from .search import CAP_GENERIC, AnchorInvalid, refute
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -216,8 +216,8 @@ _FLAGS: dict[str, dict] = {
                       help="forked worker processes for a case2 search (default: all cores)"),
     "--budget": dict(type=_seconds, default=None, metavar="SECONDS",
                      help="wall clock budget, overriding any catalog default"),
-    "--cap-generic": dict(type=int, default=60, metavar="N",
-                          help="largest group order the generic engine will accept"),
+    "--cap-generic": dict(type=int, default=CAP_GENERIC, metavar="N",
+                          help="largest group order refute and multifold give the generic engine"),
     "--strategy": dict(choices=("auto", "generic", "reduction"), default=None,
                        help="refutation strategy, overriding any catalog entry's (default: the "
                             "entry's, else auto)"),

@@ -29,8 +29,8 @@ from .certify import (
 from .group import FactorSet, GroupTable
 from .patterns import enumerate_reversal_classes, reversal_class_count
 from .search import (
-    case1_search, case2_search, case2_search_reversed, case3_search,
-    generic_search, refute,
+    CAP_GENERIC, case1_search, case2_search, case2_search_reversed, case3_search,
+    check_budget, refute,
 )
 from .structure import double_cosets
 
@@ -125,14 +125,16 @@ class MultifoldReport:
 def multifold(
     cat: Catalog,
     group_id: str,
-    cap_generic: int = 60,
+    cap_generic: int = CAP_GENERIC,
     budget_s: float | None = None,
 ) -> MultifoldReport:
     """Certify one reversal class representative per prime word of |G|.
 
-    Classes with a catalog recipe are assembled and re-verified; the rest
-    fall back to the generic engine when the group is small enough.
+    Classes with a catalog recipe are assembled and re-verified; each other
+    class is settled by ``refute``, whose strategy is its method and whose
+    verdict gives its note when no certificate is found.
     """
+    check_budget(budget_s)
     start = time.monotonic()
     group = cat.group(group_id)
     try:
@@ -156,15 +158,12 @@ def multifold(
             if not cert.verify().valid:
                 raise CatalogInvalid(f"recipe for {key} assembled an invalid certificate")
             results.append(ClassResult(word, recipe["type"], cert))
-        elif group.order <= cap_generic:
-            report = generic_search(group, word, find_all=False, budget_s=budget_s, cap=cap_generic)
-            if report.solutions:
-                results.append(ClassResult(word, "generic", report.solutions[0]))
-            else:
-                note = "no factorization found" if report.exhaustive else "budget exhausted"
-                results.append(ClassResult(word, "generic", None, note))
         else:
-            results.append(ClassResult(word, "none", None, "no recipe and group too large"))
+            rec = refute(group, word, budget_s=budget_s, cap_generic=cap_generic)
+            note = {"FOUND": "", "NONE": "no factorization found"}.get(rec.verdict, "budget exhausted")
+            if rec.strategy == "none-applicable":
+                note = "no recipe and group too large"
+            results.append(ClassResult(word, rec.strategy, rec.certificate, note))
     return MultifoldReport(group_id, group.order, results, time.monotonic() - start)
 
 
@@ -227,7 +226,7 @@ def run_search(
 
 
 def run_refutation(cat: Catalog, ref_id: str, budget_s: float | None = None,
-                   cap_generic: int = 60, strategy: str | None = None) -> dict:
+                   cap_generic: int = CAP_GENERIC, strategy: str | None = None) -> dict:
     """Run one catalog refutation entry.  A given budget or strategy
     overrides the entry's; ``strategy=None`` takes the entry's, else auto."""
     spec = cat.refutation(ref_id)

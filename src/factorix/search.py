@@ -103,14 +103,17 @@ class RefutationRecord:
         return out
 
 
+def check_budget(budget_s: float | None) -> None:
+    """The library's one budget check: a NaN (no clock passes it) or negative one raises."""
+    if budget_s is not None and not budget_s >= 0:
+        raise ValueError(f"budget_s must be a non-negative number, not {budget_s!r}")
+
+
 class _Deadline:
-    """The wall-clock budget of one engine call (None: no budget), and the
-    library's one check of it: NaN, which no clock passes, or a negative
-    budget raises ``ValueError``."""
+    """The wall-clock budget of one engine call (None: no budget)."""
 
     def __init__(self, budget_s: float | None):
-        if budget_s is not None and not budget_s >= 0:
-            raise ValueError(f"budget_s must be a non-negative number, not {budget_s!r}")
+        check_budget(budget_s)
         self.t0 = time.monotonic()
         self.limit = None if budget_s is None else self.t0 + budget_s
         self.hit = False
@@ -578,15 +581,13 @@ def generic_search(
     pattern: tuple[int, ...],
     find_all: bool = False,
     budget_s: float | None = None,
-    cap: int = 60,
 ) -> SearchReport:
     """Normalized backtracking over all factor tuples: every factor contains
     the identity, remaining elements ascend, prefix products stay distinct,
-    and end factors must generate a subgroup of compatible order."""
+    and end factors must generate a subgroup of compatible order.  Only
+    ``budget_s`` bounds it; ``refute`` gates it on the group order."""
     n = group.order
     _check_sizes(pattern, n)
-    if n > cap:
-        raise AnchorInvalid(f"group order {n} above generic cap {cap}")
     deadline = _Deadline(budget_s)
     k = len(pattern)
     raw: list[tuple[tuple[int, ...], ...]] = []
@@ -751,12 +752,14 @@ def _scan_block_cover(
 # short is never kept.
 _BLOCK_COVER_SCANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+CAP_GENERIC = 60  # refute's default gate: the largest order it gives the generic engine
+
 
 def refute(
     group: GroupTable,
     pattern: tuple[int, ...],
     budget_s: float | None = None,
-    cap_generic: int = 60,
+    cap_generic: int = CAP_GENERIC,
     strategy: str = "auto",
 ) -> RefutationRecord:
     """Decide whether G admits a factorization with the given pattern.
@@ -769,7 +772,8 @@ def refute(
 
     strategy selects the engine: "auto" picks the cheapest sound route,
     "generic" forces the exhaustive normalized search, "reduction" forces
-    the 2-...-2 coset scans and fails if they do not apply.
+    the 2-...-2 coset scans and fails if they do not apply.  Without a
+    reduction, "auto" runs the generic engine only if |G| <= cap_generic.
     """
     if strategy not in ("auto", "generic", "reduction"):
         raise ValueError(f"unknown refutation strategy: {strategy!r}")
@@ -814,13 +818,8 @@ def refute(
                 best = "UNKNOWN"
         return RefutationRecord(pattern, best, strategy, total, None, deadline.elapsed(), notes=notes)
     if strategy == "generic" or group.order <= cap_generic:
-        cap = max(cap_generic, group.order) if strategy == "generic" else cap_generic
-        report = generic_search(group, pattern, find_all=False, budget_s=budget_s, cap=cap)
-        if report.solutions:
-            return RefutationRecord(
-                pattern, "FOUND", "generic", report.candidates_examined,
-                report.solutions[0], deadline.elapsed(),
-            )
-        verdict = "NONE" if report.exhaustive else "UNKNOWN"
-        return RefutationRecord(pattern, verdict, "generic", report.candidates_examined, None, deadline.elapsed())
+        report = generic_search(group, pattern, budget_s=budget_s)
+        verdict = "FOUND" if report.solutions else "NONE" if report.exhaustive else "UNKNOWN"
+        return RefutationRecord(pattern, verdict, "generic", report.candidates_examined,
+                                next(iter(report.solutions), None), deadline.elapsed())
     return RefutationRecord(pattern, "UNKNOWN", "none-applicable", 0, None, deadline.elapsed(), notes="group too large for the generic engine")

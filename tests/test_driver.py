@@ -119,16 +119,34 @@ def test_multifold_a4_incomplete(cat):
     assert words[(2, 2, 3)].certified
     missing = words[(2, 3, 2)]
     assert not missing.certified
+    assert missing.method == "coset-parity"
     assert missing.note == "no factorization found"
 
 
 def test_multifold_budget_note(cat):
-    # two A5 classes admit no factorization, so find-first can only stop
-    # on the per-class budget
-    rep = multifold(cat, "group-a5", budget_s=0.05)
-    starved = [c for c in rep.classes if not c.certified]
-    assert starved
-    assert all(c.note == "budget exhausted" for c in starved)
+    """A class without a recipe is settled by ``refute``: the block-cover
+    scan proves (2,3,5,2) impossible well inside the budget, while the
+    generic engine can only stop on the budget for (2,5,2,3)."""
+    rep = multifold(cat, "group-a5", budget_s=0.5)
+    words = {c.word: c for c in rep.classes}
+    refuted, starved = words[(2, 3, 5, 2)], words[(2, 5, 2, 3)]
+    assert (refuted.method, refuted.note) == ("block-cover", "no factorization found")
+    assert (starved.method, starved.note) == ("generic", "budget exhausted")
+    assert not refuted.certified and not starved.certified
+    assert rep.verdict == "INCOMPLETE"
+
+
+def test_multifold_above_generic_cap(cat):
+    """Above ``cap_generic`` the 2-...-2 reduction still settles its class;
+    every other class without a recipe is left with no engine."""
+    rep = multifold(cat, "group-a5", cap_generic=50)
+    words = {c.word: c for c in rep.classes}
+    refuted = words.pop((2, 3, 5, 2))
+    assert (refuted.method, refuted.note) == ("block-cover", "no factorization found")
+    assert len(words) == 5
+    for c in words.values():
+        assert (c.method, c.note) == ("none-applicable", "no recipe and group too large")
+        assert not c.certified
     assert rep.verdict == "INCOMPLETE"
 
 
@@ -317,6 +335,8 @@ LIBRARY_ENTRIES = {
         cat.anchor(cat.group("group-168"), ["()", "(1,5)(2,7,4,6)"]), 2, 7, budget_s=budget),
     "generic_search": lambda cat, budget: generic_search(cat.group("group-a5"), (2, 30), budget_s=budget),
     "multifold": lambda cat, budget: multifold(cat, "group-s4", budget_s=budget),
+    # every group-168 class has a recipe, so no engine sees the budget
+    "multifold-recipes": lambda cat, budget: multifold(cat, "group-168", budget_s=budget),
 }
 
 

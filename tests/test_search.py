@@ -574,8 +574,6 @@ def test_generic_find_first_and_budget(s3, s4):
 def test_generic_validation(c6):
     with pytest.raises(AnchorInvalid):
         generic_search(c6, (2, 2))
-    with pytest.raises(AnchorInvalid):
-        generic_search(c6, (2, 3), cap=5)
     with pytest.raises(AnchorInvalid, match="positive"):
         generic_search(c6, (-2, -3))
 
