@@ -1,9 +1,9 @@
 """Checked-in data: groups, subgroups, certificates, search and refutation
 configurations, and the multifold recipe tables.
 
-The catalog file is JSON.  Ids are flat strings, unique across sections, so
-``load("lemma-4.4")`` works without knowing which section holds the entry.
-Every certificate is verified as it is resolved; a catalog that asserts an
+The catalog file is a JSON object with one object per section, mapping
+flat string ids to entries; each section has its own resolver.  Every
+certificate is verified as it is resolved; a catalog that asserts an
 invalid factorization fails loudly at load time, not at use time.
 """
 from __future__ import annotations
@@ -110,12 +110,6 @@ class Catalog:
     _subgroups: dict[str, Subgroup] = field(default_factory=dict)
     _certs: dict[str, Certificate] = field(default_factory=dict)
 
-    def section_of(self, entry_id: str) -> str:
-        for name in _SECTIONS:
-            if entry_id in self.data.get(name, {}):
-                return name
-        raise UnknownId(entry_id)
-
     def ids(self, section: str) -> list[str]:
         return sorted(self.data.get(section, {}))
 
@@ -215,12 +209,6 @@ class Catalog:
             return sub
         return self.factor_set(group, ref)
 
-    def load_entry(self, entry_id: str):
-        """Resolve any id to its checked object (spec'd single entry point)."""
-        section = self.section_of(entry_id)
-        resolve = {"groups": self.group, "subgroups": self.subgroup, "certificates": self.certificate}
-        return resolve[section](entry_id) if section in resolve else self._entry(section, entry_id)
-
 
 def default_path() -> str:
     env = os.environ.get(ENV_VAR)
@@ -230,11 +218,15 @@ def default_path() -> str:
 
 
 def open_catalog(path: str | None = None) -> Catalog:
+    """The catalog at ``path``, once its top level and each section are
+    checked to be objects."""
     p = path or default_path()
     with open(p, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise CatalogInvalid(f"{p}: JSON nested too deeply") from None
+    with _named(p):
+        shaped(data, "catalog")
+        shaped(data, "catalog", **{name: dict for name in _SECTIONS if name in data})
     return Catalog(data, p)
-
-
-def load(entry_id: str, path: str | None = None):
-    return open_catalog(path).load_entry(entry_id)

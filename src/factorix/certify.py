@@ -30,8 +30,8 @@ class ConditionFailed(ValueError):
     equality, coset distinctness) does not hold."""
 
 
-class InvalidPosition(IndexError):
-    pass
+class InvalidPosition(ValueError):
+    """A factor position outside the certificate."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def normalize(cert: Certificate) -> Certificate:
 def merge_adjacent(cert: Certificate, position: int) -> Certificate:
     """Fuse factors at position and position+1 into their product set."""
     if not 0 <= position < len(cert.factors) - 1:
-        raise InvalidPosition(position)
+        raise InvalidPosition(f"merge position {position} outside 0..{len(cert.factors) - 2}")
     g = cert.group
     fused = product_distinct(g, cert.factors[position].indices, cert.factors[position + 1].indices)
     if fused is None:
@@ -138,7 +138,9 @@ def replace_factor(cert: Certificate, position: int, parts: list[FactorSet]) -> 
     """Split the factor at ``position`` into several whose distinct product
     equals it; the certificate stays valid."""
     if not 0 <= position < len(cert.factors):
-        raise InvalidPosition(position)
+        raise InvalidPosition(f"factor position {position} outside 0..{len(cert.factors) - 1}")
+    if not parts:
+        raise ConditionFailed("no replacement parts")
     acc = parts[0].indices
     for p in parts[1:]:
         acc = product_distinct(cert.group, acc, p.indices)
@@ -164,26 +166,6 @@ def lift_by_transversal(cert: Certificate, h: Subgroup, side: str = "right") -> 
     reps = tuple(cosets(h, side)[0])
     factors = embed(h.group, cert)
     return certificate(h.group, factors + [reps] if side == "right" else [reps] + factors)
-
-
-def lift_by_quotient(
-    quotient_cert: Certificate,
-    h: Subgroup,
-    projection: list[int],
-    position: int,
-) -> Certificate:
-    """Pull a certificate of G/H back to G, inserting H as the factor at
-    ``position`` (0..k).  Normality of H makes every position work with the
-    canonically least coset representatives."""
-    if not 0 <= position <= len(quotient_cert.factors):
-        raise InvalidPosition(position)
-    # the least element of each coset, indexed by its quotient element
-    reps = [0] * quotient_cert.group.order
-    for r in cosets(h, "left")[0]:
-        reps[projection[r]] = r
-    factors = [tuple(sorted(reps[q] for q in f.indices)) for f in quotient_cert.factors]
-    factors.insert(position, h.indices)
-    return certificate(h.group, factors)
 
 
 def compose_sandwich(
@@ -306,4 +288,6 @@ def load_json(text: str) -> Certificate:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedCertificate(f"not JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedCertificate("not JSON: nested too deeply") from None
     return from_dict(data)

@@ -40,9 +40,6 @@ class Perm:
     def __call__(self, point: int) -> int:
         return self.images[point - 1]
 
-    def __mul__(self, other: Perm) -> Perm:
-        return compose(self, other)
-
     def __str__(self) -> str:
         return format_cycles(self)
 

@@ -59,7 +59,7 @@ import weakref
 from .certify import Certificate, certificate, divisibility_prune
 from .group import FactorSet, GroupTable, bits_of, iter_bits
 from .indset import exact_cover
-from .structure import Subgroup, cosets, subgroup_from_indices
+from .structure import NotASubgroup, Subgroup, cosets, subgroup_from_indices
 
 
 class AnchorInvalid(ValueError):
@@ -75,7 +75,6 @@ class SearchReport:
     solutions: tuple[Certificate, ...]
     exhaustive: bool
     graph_builds: int = 0
-    wall_s: float = 0.0
     notes: str = ""
     budget_hit: bool = False
 
@@ -141,13 +140,12 @@ def _sorted_certs(group: GroupTable, raw: list[tuple[tuple[int, ...], ...]]) -> 
 def _report(engine: str, group: GroupTable, pattern: tuple[int, ...], deadline: _Deadline,
             raw: list[tuple[tuple[int, ...], ...]], enumerates: bool, **counts) -> SearchReport:
     """The report every engine ends with: its raw answers verified and
-    sorted, its counters, and the wall time (verification included) and
-    budget flag of its deadline.  It is exhaustive when the whole space
-    was searched: the budget held, and unless the engine ``enumerates``
-    every solution, it found nothing."""
+    sorted, its counters, and the budget flag of its deadline.  It is
+    exhaustive when the whole space was searched: the budget held, and
+    unless the engine ``enumerates`` every solution, it found nothing."""
     return SearchReport(engine=engine, pattern=tuple(pattern), solutions=_sorted_certs(group, raw),
                         exhaustive=not deadline.hit and (enumerates or not raw),
-                        wall_s=deadline.elapsed(), budget_hit=deadline.hit, **counts)
+                        budget_hit=deadline.hit, **counts)
 
 
 def _check_sizes(pattern: tuple[int, ...], order: int) -> None:
@@ -171,10 +169,15 @@ def _right_cosets(h: Subgroup, anchor: FactorSet, side: str = "right") -> tuple[
     ``side="left"``, and each element's coset position) plus the punctured
     transversal, i.e. the representatives whose cosets hold no element of
     ``anchor``.  It is where the engines check their anchors: both lie in
-    one group, ``anchor`` contains the identity, and its elements lie in
-    distinct cosets."""
+    one group, ``h`` is a subgroup (an inline list is a bare factor set),
+    ``anchor`` contains the identity, and its elements lie in distinct
+    cosets."""
     if anchor.group is not h.group:
         raise AnchorInvalid("anchors live in different groups")
+    try:
+        subgroup_from_indices(h.group, h.indices)
+    except NotASubgroup as exc:
+        raise AnchorInvalid(f"the subgroup anchor is not a subgroup: {exc}") from None
     if not anchor.contains_identity():
         raise AnchorInvalid("the set anchor must contain the identity")
     reps, coset_of = cosets(h, side)

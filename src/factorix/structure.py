@@ -1,20 +1,16 @@
 """Subgroups and coset structure: one coset pass (``cosets``) under the
-transversals, coset maps, double cosets, normality and quotients.
+transversals, coset maps and double cosets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .group import FactorSet, GroupTable, bits_of, generate_group
+from .group import FactorSet, GroupTable, bits_of
 from .perm import Perm
 
 
 class NotASubgroup(ValueError):
-    pass
-
-
-class NotNormal(ValueError):
     pass
 
 
@@ -112,34 +108,3 @@ def double_cosets(a: Subgroup, b: Subgroup) -> DoubleCosetDecomposition:
         sizes.append(len(a) * mask.bit_count())
         seen |= mask
     return DoubleCosetDecomposition(g, a, b, tuple(reps), tuple(sizes))
-
-
-def is_normal(h: Subgroup) -> bool:
-    """xH = Hx for every x exactly when the left and right coset passes
-    meet the same least elements in the same order."""
-    return cosets(h, "left") == cosets(h)
-
-
-def quotient_group(h: Subgroup) -> tuple[GroupTable, list[int]]:
-    """Quotient G/H for normal H, tabulated on the left-transversal cosets.
-
-    Returns (quotient table, projection) where projection[i] is the index in
-    the quotient of element i's coset.  The quotient is realized as a
-    permutation group acting on its own coset positions (1-based).
-    """
-    if not is_normal(h):
-        raise NotNormal("subgroup is not normal")
-    g = h.group
-    reps, where = cosets(h, "left")
-    # each coset acts on coset positions by right multiplication
-    perms = []
-    for r in reps:
-        images = tuple(where[g.row(rep)[r]] + 1 for rep in reps)
-        perms.append(Perm(images))
-    qgens = [perms[where[g.index_of(p)]] for p in g.generators] or [perms[0]]
-    qtable = generate_group([p for p in qgens if not p.is_identity()] or [perms[0]])
-    if qtable.order != len(reps):
-        raise NotNormal("coset action did not close on the cosets")
-    reindex = [qtable.index_of(p) for p in perms]
-    projection = [reindex[where[i]] for i in range(g.order)]
-    return qtable, projection

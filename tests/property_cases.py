@@ -12,7 +12,7 @@ import random
 
 from factorix.certify import (
     Certificate, ConditionFailed, certificate, compose_sandwich,
-    divisibility_prune, from_dict, lift_by_quotient,
+    divisibility_prune, from_dict,
     lift_by_transversal, load_json, merge_adjacent, normalize, replace_factor,
     reverse, to_dict,
 )
@@ -20,7 +20,7 @@ from factorix.group import GroupTable, generate_group
 from factorix.patterns import enumerate_words
 from factorix.perm import parse_cycles
 from factorix.search import generic_search, refute
-from factorix.structure import double_cosets, is_normal, quotient_group, subgroup_from_indices
+from factorix.structure import double_cosets, subgroup_from_indices
 
 from helpers import (
     canonical, cert_json, conjugate_intersection_trivial,
@@ -157,16 +157,6 @@ def run_case(seed: int) -> set[str]:
     assert lean.verify().valid
     assert all(len(f) > 1 for f in lean.factors) or table.order == 1
     ops.add("strip")
-
-    h = random_proper_subgroup(table, rng)
-    if h is not None and is_normal(h):
-        quotient, projection = quotient_group(h)
-        qcert = chain_certificate(quotient, rng)
-        position = rng.randint(0, len(qcert.factors))
-        lifted = lift_by_quotient(qcert, h, projection, position)
-        assert lifted.verify().valid
-        assert lifted.pattern[position] == len(h)
-        ops.add("lift_quotient")
 
     a = random_proper_subgroup(table, rng)
     b = random_proper_subgroup(table, rng)

@@ -7,11 +7,10 @@ import shutil
 import pytest
 
 from factorix.catalog import (
-    Catalog, CatalogInvalid, UnknownId, default_path, load, open_catalog,
+    Catalog, CatalogInvalid, UnknownId, default_path, open_catalog,
 )
-from factorix.certify import Certificate, load_json, to_dict
-from factorix.group import FactorSet, GroupTable
-from factorix.structure import Subgroup
+from factorix.certify import load_json, to_dict
+from factorix.group import FactorSet
 
 
 def mini_data():
@@ -46,17 +45,6 @@ def test_bundled_sections(cat):
     assert len(cat.ids("searches")) == 7
     assert len(cat.ids("refutations")) == 4
     assert cat.ids("multifold") == ["group-168", "group-a6", "group-s4"]
-    assert cat.section_of("lemma-4.4") == "certificates"
-    assert cat.section_of("search-lemma-4.5") == "searches"
-    assert cat.section_of("group-a6") == "groups"
-
-
-def test_load_entry_dispatch(cat):
-    assert isinstance(cat.load_entry("group-s4"), GroupTable)
-    assert isinstance(cat.load_entry("a5-c2"), Subgroup)
-    assert isinstance(cat.load_entry("lemma-4.4"), Certificate)
-    assert isinstance(cat.load_entry("search-lemma-4.5"), dict)
-    assert isinstance(cat.load_entry("refute-a4-232"), dict)
 
 
 def test_group_and_subgroup_resolution(cat):
@@ -96,7 +84,7 @@ def test_unknown_ids(cat):
     assert issubclass(UnknownId, KeyError)
     for probe in (
         cat.group, cat.subgroup, cat.certificate, cat.search,
-        cat.refutation, cat.multifold_table, cat.section_of, cat.load_entry,
+        cat.refutation, cat.multifold_table,
     ):
         with pytest.raises(UnknownId):
             probe("no-such-id")
@@ -110,10 +98,6 @@ def test_env_override(tmp_path, monkeypatch):
     assert open_catalog().path == str(target)
     monkeypatch.delenv("FACTORIX_CATALOG")
     assert default_path().endswith("catalog.json")
-
-
-def test_load_helper():
-    assert load("group-s4").order == 24
 
 
 def test_mini_catalog_resolves():

@@ -9,12 +9,12 @@ from factorix import certify
 from factorix.certify import (
     ConditionFailed, InvalidPosition, MalformedCertificate, Verdict, certificate,
     compose_sandwich, divisibility_prune, from_dict,
-    lift_by_quotient, lift_by_transversal, load_json, merge_adjacent,
+    lift_by_transversal, load_json, merge_adjacent,
     normalize, product_distinct, replace_factor, reverse, to_dict,
     verify_certificate,
 )
 from factorix.perm import parse_cycles
-from factorix.structure import quotient_group, subgroup_from_perms
+from factorix.structure import subgroup_from_perms
 from helpers import (
     all_subgroups, cert_from, cert_json, conjugate_intersection_trivial, fs,
     group_from, reference_verdict, standalone_table, strip_singletons,
@@ -156,8 +156,10 @@ def test_replace_factor(c6):
     split = replace_factor(whole, 0, [fs(c6, "()", R3), fs(c6, "()", R2, R4)])
     assert split.pattern == (2, 3)
     assert split.verify().valid
-    with pytest.raises(InvalidPosition):
+    with pytest.raises(InvalidPosition, match="^factor position 3 outside 0..0$"):
         replace_factor(whole, 3, [fs(c6, "()")])
+    with pytest.raises(ConditionFailed):
+        replace_factor(whole, 0, [])
     with pytest.raises(ConditionFailed):
         replace_factor(whole, 0, [fs(c6, "()", R), fs(c6, "()", R, R2)])
     with pytest.raises(ConditionFailed):
@@ -194,18 +196,6 @@ def test_lift_embeds_lower_degree(s4):
     lifted = lift_by_transversal(inner, c3, side="right")
     assert lifted.pattern == (3, 8)
     assert lifted.verify().valid
-
-
-def test_lift_by_quotient(a4):
-    v4 = sub(a4, "(1,2)(3,4)", "(1,3)(2,4)")
-    q, proj = quotient_group(v4)
-    qcert = certificate(q, [tuple(range(q.order))])
-    for position, pattern in ((0, (4, 3)), (1, (3, 4))):
-        lifted = lift_by_quotient(qcert, v4, proj, position)
-        assert lifted.pattern == pattern
-        assert lifted.verify().valid
-    with pytest.raises(InvalidPosition):
-        lift_by_quotient(qcert, v4, proj, 5)
 
 
 def test_compose_sandwich(s4):

@@ -436,6 +436,40 @@ def _set(section, entry_id, key, value):
     return lambda data: data[section][entry_id].__setitem__(key, value)
 
 
+def _refine(**changes):
+    """A change to group-168's refine recipe for (2,2,3,7,2); inline
+    ``parts`` take the place of its certificate."""
+    def mutate(data):
+        recipe = data["multifold"]["group-168"]["classes"]["2,2,3,7,2"]
+        if "parts" in changes:
+            del recipe["certificate"]
+        recipe.update(changes)
+    return mutate
+
+
+# A search's subgroup end as an inline list of the right size that is not
+# a subgroup: the subgroup's elements with the last swapped for the least
+# element that breaks closure.
+NOT_SUBGROUPS = {
+    "search-lemma-3.5": ("first", [
+        "()", "(3,4)(5,6)", "(3,5)(4,6)", "(3,6)(4,5)", "(2,3)(5,7)", "(1,2,7)(4,6,5)",
+        "(1,2,7)(3,4,5)", "(1,2,7)(3,5,6)", "(1,2,7)(3,6,4)", "(1,7,2)(4,5,6)", "(1,7,2)(3,4,6)",
+        "(1,7,2)(3,5,4)",
+    ]),
+    "search-lemma-4.5": ("first", [
+        "()", "(4,5,6)", "(4,6,5)", "(3,4)(5,6)", "(1,2,3)", "(1,2,3)(4,5,6)", "(1,2,3)(4,6,5)",
+        "(1,3,2)", "(1,3,2)(4,5,6)",
+    ]),
+    "case3-lemma-3.6": ("first", [
+        "()", "(3,4)(5,6)", "(3,5)(4,6)", "(2,3)(5,7)", "(2,3,4)(5,6,7)", "(2,4,3)(5,7,6)",
+    ]),
+    "search-lemma-4.7": ("last", [
+        "()", "(4,5,6)", "(2,3)(4,5)", "(1,2)(3,4)", "(1,2,4,5,3)", "(1,3,5,4,2)", "(1,3)(2,5)",
+        "(1,4)(3,5)", "(1,4,3,2,5)", "(1,5,2,3,4)",
+    ]),
+}
+
+
 @pytest.mark.parametrize("mutate, argv", [
     (_drop("groups", "group-s4", "degree"), ["multifold", "group-s4"]),
     (_string("groups", "group-s4"), ["multifold", "group-s4"]),
@@ -459,12 +493,19 @@ def _set(section, entry_id, key, value):
     (_set("searches", "case3-lemma-3.6", "b_size", 0), ["search", "case3-lemma-3.6"]),
     (lambda data: data["searches"]["case3-lemma-3.6"].update(b_size=-2, c_size=-7),
      ["search", "case3-lemma-3.6"]),
+    *[(_set("searches", sid, *end), ["search", sid]) for sid, end in NOT_SUBGROUPS.items()],
+    (lambda data: data.__setitem__("certificates", []), ["verify", "lemma-4.2"]),
+    (_refine(position=99), ["multifold", "group-168"]),
+    (_refine(position=-1), ["multifold", "group-168"]),
+    (_refine(parts=[]), ["multifold", "group-168"]),
 ], ids=["group-no-degree", "group-string", "group-no-order", "cert-no-pattern", "cert-string",
         "subgroup-no-order", "search-no-middle", "refutation-no-pattern", "multifold-string",
         "lift-no-subgroup", "double-coset-no-b", "refutation-string-budget",
         "refutation-string-pattern", "refutation-nan-budget", "refutation-negative-budget",
         "search-negative-budget", "sandwich-list-certificate", "case3-zero-b-size",
-        "case3-negative-sizes"])
+        "case3-negative-sizes", *[f"{sid}-not-a-subgroup" for sid in NOT_SUBGROUPS],
+        "certificates-list", "refine-position-past-end", "refine-position-negative",
+        "refine-no-parts"])
 def test_catalog_wrong_entry_shape_exit2(tmp_path, capsys, cat, mutate, argv):
     data = copy.deepcopy(cat.data)
     mutate(data)
@@ -473,6 +514,26 @@ def test_catalog_wrong_entry_shape_exit2(tmp_path, capsys, cat, mutate, argv):
     rc, _, err = run(capsys, *argv, "--catalog", str(target))
     assert rc == 2
     assert err.startswith("factorix:") and err.count("\n") == 1
+
+
+# Deeper than the JSON reader's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', DEEP], ids=["list", "string", "deep"])
+def test_catalog_not_an_object_exit2(tmp_path, capsys, text):
+    target = tmp_path / "catalog.json"
+    target.write_text(text)
+    rc, _, err = run(capsys, "verify", "lemma-4.2", "--catalog", str(target))
+    assert rc == 2
+    assert err.startswith("factorix:") and err.count("\n") == 1
+
+
+def test_verify_deep_nesting_exit2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP))
+    rc, _, err = run(capsys, "verify", "-")
+    assert rc == 2
+    assert err == "factorix: not JSON: nested too deeply\n"
 
 
 def test_verify_declared_size_rejected_before_table(tmp_path, capsys, monkeypatch):

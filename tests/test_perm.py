@@ -30,7 +30,6 @@ def test_compose_left_to_right():
     p = parse_cycles("(1,2)", 3)
     q = parse_cycles("(1,3)", 3)
     assert str(compose(p, q)) == "(1,2,3)"
-    assert str(p * q) == "(1,2,3)"
     assert str(compose(q, p)) == "(1,3,2)"
 
 

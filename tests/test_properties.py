@@ -26,7 +26,6 @@ FLOORS = {
     "replace": 250,
     "duality": 300,
     "refute": 250,
-    "lift_quotient": 150,
     "sandwich": 100,
     "sandwich_refused": 100,
 }

@@ -230,6 +230,18 @@ def test_anchors_in_different_groups(s4, a4, engine):
         ANCHORED_ENGINES[engine](sub(s4, "(1,2,3)"), sub(a4, "(1,2)(3,4)"))
 
 
+@pytest.mark.parametrize("engine", sorted(ANCHORED_ENGINES))
+def test_subgroup_anchor_is_closed(s4, engine):
+    """A catalog's inline subgroup end reaches the engines as a bare factor
+    set: one that is a subgroup runs as the subgroup does, one that is not
+    is refused."""
+    d = fs(s4, "()", "(1,2)")
+    inline = ANCHORED_ENGINES[engine](fs(s4, "()", "(1,2,3)", "(1,3,2)"), d)
+    assert inline.solutions and inline.solutions == ANCHORED_ENGINES[engine](sub(s4, "(1,2,3)"), d).solutions
+    with pytest.raises(AnchorInvalid, match="^the subgroup anchor is not a subgroup: not closed under products$"):
+        ANCHORED_ENGINES[engine](fs(s4, "()", "(1,2,3)", "(1,2,4)"), d)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("a_gens, middle, t, count", [
     (("(1,2)(3,4)", "(1,2,3)"), (1,), "(1,2)", 1),

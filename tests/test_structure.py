@@ -5,7 +5,7 @@ import pytest
 from factorix.group import bits_of
 from factorix.perm import parse_cycles
 from factorix.structure import (
-    NotASubgroup, NotNormal, cosets, double_cosets, is_normal, quotient_group,
+    NotASubgroup, cosets, double_cosets,
     subgroup_from_indices, subgroup_from_perms, subgroup_generated,
 )
 from helpers import (
@@ -108,18 +108,6 @@ def test_cosets_match_set_arithmetic(subgroups, side):
                 assert (where[x] == where[y]) == (blocks[x] == blocks[y])
 
 
-def test_is_normal_matches_brute_force(subgroups):
-    normal = []
-    for h in subgroups:
-        g = h.group
-        want = all(g.conjugate_idx(p, x) in h for x in range(g.order) for p in h.indices)
-        assert is_normal(h) == want
-        if want:
-            normal.append(len(h))
-    # S4: {e}, V4, A4 and S4; A5 is simple
-    assert normal == {24: [1, 4, 12, 24], 60: [1, 60]}[g.order]
-
-
 def test_double_cosets_match_brute_force(subgroups):
     for a in subgroups:
         g = a.group
@@ -165,35 +153,6 @@ def test_conjugate_intersection_is_full_size_double_cosets(s4):
     for a in subgroups:
         for b in subgroups:
             assert conjugate_intersection_trivial(a, b) == double_cosets(a, b).all_full_size
-
-
-def test_is_normal(a4, s3):
-    assert is_normal(sub(a4, "(1,2)(3,4)", "(1,3)(2,4)"))
-    assert is_normal(sub(s3, "(1,2,3)"))
-    assert not is_normal(sub(s3, "(1,2)"))
-
-
-def test_quotient_s3_mod_a3(s3):
-    a3 = sub(s3, "(1,2,3)")
-    q, proj = quotient_group(a3)
-    assert q.order == 2
-    assert sorted(set(proj)) == [0, 1]
-    assert [proj[i] for i in a3.indices] == [0, 0, 0]
-
-
-def test_quotient_a4_mod_v4(a4):
-    v4 = sub(a4, "(1,2)(3,4)", "(1,3)(2,4)")
-    q, proj = quotient_group(v4)
-    assert q.order == 3
-    # the projection is a homomorphism
-    for a in range(a4.order):
-        for b in range(0, a4.order, 5):
-            assert proj[a4.mul_idx(a, b)] == q.mul_idx(proj[a], proj[b])
-
-
-def test_quotient_requires_normal(s3):
-    with pytest.raises(NotNormal):
-        quotient_group(sub(s3, "(1,2)"))
 
 
 def test_subgroup_generated_caches_nothing_weird(a5):
